@@ -3,7 +3,9 @@
 // (seed scalar triple loop vs blocked 4x-unrolled kernel), Linear and Conv2d
 // forward+backward (seed scalar loops vs the GEMM-routed layers), accumulator
 // adds, and the FAB-top-k server round. Self-contained (std::chrono, no
-// google benchmark) so CI can produce the JSON artifact on any box.
+// google benchmark) so CI can produce the JSON artifact on any box. The JSON
+// opens with a "host" manifest (core count, CPU model, compiler, flags, build
+// type, git sha) naming the build that produced the numbers.
 //
 // Usage: emit_json [output_path] [--quick]
 //   output_path defaults to BENCH_micro.json in the current directory.
@@ -19,11 +21,15 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #define FEDSPARSE_HAVE_RUSAGE 1
+#endif
+#if defined(__linux__)
+#include <sched.h>
 #endif
 
 #include "data/synthetic.h"
@@ -728,9 +734,9 @@ void bench_fleet_scale(std::vector<KernelResult>& out, std::vector<SweepRow>& sw
     tensor::set_parallel_pool(nullptr);
   }
 
-  // Single-shard serial reference of the same build: per-client workspaces,
-  // three separate server passes. Runs last — its N workspaces dominate the
-  // scale's RSS high-water mark and must not contaminate the sharded points.
+  // The same round body at S = 1 with no pool registered: every client and
+  // server pass runs serially on one thread. Runs last so the sharded points
+  // above keep their own RSS readings.
   {
     sparsify::FabTopK method(d);
     out.push_back(measure(label + "_singleshard", "", static_cast<double>(n) * d, [&] {
@@ -742,7 +748,7 @@ void bench_fleet_scale(std::vector<KernelResult>& out, std::vector<SweepRow>& sw
     single_ref = method.round(fleet.in, k);
   }
 
-  // The sharded path must be a pure execution-strategy change.
+  // The shard count must be a pure scheduling change.
   if (sharded_ref.update != single_ref.update ||
       sharded_ref.reset_indices != single_ref.reset_indices ||
       sharded_ref.reset_offsets != single_ref.reset_offsets ||
@@ -1006,45 +1012,6 @@ void bench_byzantine(std::vector<KernelResult>& out) {
   }
 }
 
-// --- fused accumulate + threshold prescan ------------------------------------
-//
-// add_scan folds the hinted selection scan into the accumulation sweep: one
-// pass over each dirty chunk instead of add + (summary-pruned) scan. Both
-// sides reset first so every iteration does identical work on identical
-// state.
-
-void bench_fused_scan(std::vector<KernelResult>& out) {
-  const std::size_t d = 1u << 20;
-  const std::size_t k = d / 100;
-  const auto g = random_vec(d, 17);
-  // Threshold = the k-th |g| (what a warm selection hint would hold), so the
-  // scan is the production shape: ~k survivors against cap 8k+64.
-  std::vector<float> mags(d);
-  for (std::size_t i = 0; i < d; ++i) mags[i] = std::fabs(g[i]);
-  std::nth_element(mags.begin(), mags.begin() + static_cast<std::ptrdiff_t>(k - 1), mags.end(),
-                   std::greater<float>());
-  const float threshold = mags[k - 1];
-  const std::size_t cap = sparsify::topk_hint_cap(k);
-
-  sparsify::GradientAccumulator ref(d);
-  std::vector<std::uint64_t> keys;
-  out.push_back(measure("accumulator_add_then_scan_D1M", "", static_cast<double>(d), [&] {
-    ref.reset_all();
-    ref.add({g.data(), g.size()});
-    keys.clear();
-    (void)sparsify::threshold_scan_append(ref.value(), ref.chunk_max(), threshold, cap, keys);
-    do_not_optimize(keys.data());
-  }));
-  sparsify::GradientAccumulator fused(d);
-  out.push_back(measure("accumulator_add_scan_fused_D1M", "accumulator_add_then_scan_D1M",
-                        static_cast<double>(d), [&] {
-                          fused.reset_all();
-                          keys.clear();
-                          (void)fused.add_scan({g.data(), g.size()}, threshold, cap, keys);
-                          do_not_optimize(keys.data());
-                        }));
-}
-
 void bench_parallel_for(std::vector<KernelResult>& out) {
   util::ThreadPool pool;
   const std::size_t n = 1u << 20;
@@ -1062,9 +1029,85 @@ double find_ns(const std::vector<KernelResult>& rs, const std::string& name) {
   return 0.0;
 }
 
+// --- host/build manifest ------------------------------------------------------
+//
+// Ratios such as sharded-vs-serial speedups depend on the core count, so a
+// BENCH file is only comparable with another from the same host and build.
+// The manifest records which one produced it; scripts/bench_compare.py warns
+// when two files disagree.
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out;
+}
+
+std::size_t online_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof set, &set) == 0) return static_cast<std::size_t>(CPU_COUNT(&set));
+#endif
+  return std::thread::hardware_concurrency();
+}
+
+std::string cpu_model() {
+  std::ifstream f("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon == std::string::npos) break;
+      std::size_t begin = colon + 1;
+      while (begin < line.size() && line[begin] == ' ') ++begin;
+      return line.substr(begin);
+    }
+  }
+  return "unknown";
+}
+
+// First line of a shell command's output ("" when it fails).
+std::string command_line(const char* cmd) {
+  std::string out;
+#if defined(__unix__) || defined(__APPLE__)
+  if (FILE* p = popen(cmd, "r")) {
+    char buf[256];
+    if (std::fgets(buf, sizeof buf, p) != nullptr) out = buf;
+    pclose(p);
+  }
+#endif
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return out;
+}
+
+void write_manifest(std::ofstream& f) {
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  const std::string git = std::string("git -C '") + FEDSPARSE_SOURCE_DIR + "' ";
+  const std::string sha = command_line((git + "rev-parse HEAD 2>/dev/null").c_str());
+  const bool dirty =
+      !sha.empty() &&
+      !command_line((git + "status --porcelain --untracked-files=no 2>/dev/null").c_str()).empty();
+  f << "  \"host\": {\"nproc\": " << online_cpus() << ", \"cpu_model\": \""
+    << json_escape(cpu_model()) << "\", \"compiler\": \"" << json_escape(compiler)
+    << "\", \"flags\": \"" << json_escape(FEDSPARSE_BUILD_FLAGS) << "\", \"build_type\": \""
+    << json_escape(FEDSPARSE_BUILD_TYPE) << "\", \"git_sha\": "
+    << (sha.empty() ? std::string("null") : "\"" + json_escape(sha) + "\"")
+    << ", \"git_dirty\": " << (dirty ? "true" : "false") << "},\n";
+}
+
 void write_json(const std::vector<KernelResult>& rs, const std::string& path) {
   std::ofstream f(path);
-  f << "{\n  \"schema\": 1,\n  \"kernels\": [\n";
+  f << "{\n  \"schema\": 2,\n";
+  write_manifest(f);
+  f << "  \"kernels\": [\n";
   for (std::size_t i = 0; i < rs.size(); ++i) {
     const auto& r = rs[i];
     f << "    {\"name\": \"" << r.name << "\", \"ns_per_op\": " << r.ns_per_op
@@ -1101,14 +1144,13 @@ int main(int argc, char** argv) {
   bench_linear(results);
   bench_conv2d(results);
   bench_accumulator(results);
-  bench_fused_scan(results);
   bench_fab_round(results);
   bench_round_engine(results);
   bench_tiered_rounds(results);
   bench_fleet_scale(results, sweep, 10000, 1u << 17, "server_round_N10000_D128k");
   if (!quick) {
-    // The single-shard reference side holds N full per-client workspaces at
-    // N=100k — multi-GB. Full runs only, so --quick CI smoke stays lean.
+    // The serial S = 1 side of N=100k takes several seconds per round. Full
+    // runs only, so --quick CI smoke stays lean.
     bench_fleet_scale(results, sweep, 100000, 1u << 16, "server_round_N100000_D64k");
   }
   std::printf("  buffered-async vs synchronized wall-clock (deterministic, simulated time):\n");

@@ -20,6 +20,13 @@ Metrics:
            across machines, so CI can gate a fresh run against the committed
            BENCH_micro.json from the reference box. Kernels without a baseline
            are skipped.
+
+Each file written by emit_json opens with a "host" manifest (core count, CPU
+model, compiler, flags, build type, git sha). A warning is printed when the
+two files come from different hosts or builds, or when either has no
+manifest: ratios such as sharded-vs-serial speedups depend on the core
+count, so such a comparison is not like for like. The warning never changes
+the exit status.
 """
 
 import argparse
@@ -28,10 +35,26 @@ import re
 import sys
 
 
+# Manifest fields that must agree for two runs to count as the same host and
+# build; git_sha and git_dirty may differ (that is the change being measured).
+HOST_KEYS = ("nproc", "cpu_model", "compiler", "flags", "build_type")
+
+
 def load(path):
     with open(path) as f:
         doc = json.load(f)
-    return {k["name"]: k for k in doc.get("kernels", [])}
+    return doc.get("host"), {k["name"]: k for k in doc.get("kernels", [])}
+
+
+def host_warnings(old_path, old_host, new_path, new_host):
+    """Warnings for a comparison whose two sides may not share a host."""
+    missing = [p for p, h in ((old_path, old_host), (new_path, new_host)) if not h]
+    if missing:
+        return ["warning: no host manifest in %s; cannot tell whether both runs "
+                "share a host" % " and ".join(missing)]
+    return ["warning: runs come from different hosts or builds: %s differs "
+            "(%r vs %r)" % (key, old_host.get(key), new_host.get(key))
+            for key in HOST_KEYS if old_host.get(key) != new_host.get(key)]
 
 
 def main():
@@ -48,10 +71,12 @@ def main():
     args = ap.parse_args()
 
     try:
-        old, new = load(args.old), load(args.new)
+        (old_host, old), (new_host, new) = load(args.old), load(args.new)
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    for warning in host_warnings(args.old, old_host, args.new, new_host):
+        print(warning, file=sys.stderr)
     if args.filter:
         try:
             pat = re.compile(args.filter)

@@ -226,7 +226,6 @@ const sparsify::RoundInput& Simulation::make_round_input(
   round_input_.client_ids = {selected.data(), selected.size()};
   round_input_.client_vectors.clear();
   round_input_.client_chunk_max.clear();
-  round_input_.client_prescan.clear();
   weight_storage_.clear();
   double total = 0.0;
   for (const std::size_t i : selected) total += data_weights_[i];
@@ -242,11 +241,6 @@ const sparsify::RoundInput& Simulation::make_round_input(
                                               : clients_[i]->accumulator().value());
     if (tiered) {
       round_input_.client_chunk_max.push_back(clients_[i]->accumulator().chunk_max());
-    }
-    // Slot-aligned fused-prescan views: clients that did not run one this
-    // round contribute a default (invalid) view the selection ignores.
-    if (prescan_round_) {
-      round_input_.client_prescan.push_back(clients_[i]->prescan_view(round));
     }
   }
   // Buffered-async flushes discount stale contributions before the methods
@@ -548,32 +542,6 @@ void Simulation::stage_schedule(RoundContext& ctx) {
 void Simulation::stage_compute(RoundContext& ctx) {
   // (A) Local computation at w(m−1) in parallel over the per-thread
   // workspaces.
-  //
-  // Fused prescan: arm each uploader whose method hint is live so its
-  // gradient accumulation below emits this round's selection candidates in
-  // the same pass (Client::request_prescan). The gate mirrors the selection
-  // prefilter gate exactly — when select() would not run the hint filter,
-  // there is nothing to fuse. Buffered catch-ups do not recompute, so they
-  // carry no prescan; selection falls back to scanning their chunks.
-  prescan_round_ = false;
-  if (cfg_.fused_prescan && cfg_.tiered_accumulators && !fedavg_style_ &&
-      dim_ >= sparsify::kTopKPrefilterMinDim && ctx.k_int >= 1 && ctx.k_int < dim_) {
-    const std::size_t cap = sparsify::topk_hint_cap(ctx.k_int);
-    for (const std::size_t i : part_ids_) {
-      const float t = method_->upload_threshold_hint(i, ctx.k_int);
-      if (t > 0.0f) {
-        clients_[i]->request_prescan(t, ctx.k_int, cap, ctx.m);
-        prescan_round_ = true;
-      }
-    }
-    for (const std::size_t i : triggered_ids_) {
-      const float t = method_->upload_threshold_hint(i, ctx.k_int);
-      if (t > 0.0f) {
-        clients_[i]->request_prescan(t, ctx.k_int, cap, ctx.m);
-        prescan_round_ = true;
-      }
-    }
-  }
   pool_.parallel_for(
       compute_ids_.size(),
       [&](std::size_t s) {

@@ -166,21 +166,14 @@ struct SimulationConfig {
   /// Shared-store engine (default) or per-replica reference engine.
   ReplicaMode replica_mode = ReplicaMode::kShared;
 
-  /// Sharded round engine (sparsify/shard_engine.h): partition participants
-  /// into per-shard fleets with thread-local accumulator arenas, merge the
-  /// per-shard candidate runs by tree reduction. 0 = auto (one shard per
-  /// pool slot, capped at 16, when the pool has workers; 1 otherwise).
-  /// Round traces are byte-identical at every shard count — pinned by
-  /// tests/engine_test.cpp — so this is purely a throughput knob.
+  /// Shard count of the server round (sparsify/shard_engine.h): participants
+  /// are partitioned into per-shard fleets with thread-local arenas and the
+  /// per-shard candidate runs merge by tree reduction. 0 = auto (one shard
+  /// per pool slot, capped at 16, when the pool has workers; 1 otherwise).
+  /// Every count, 1 included, runs the same round body, and round traces are
+  /// byte-identical at every shard count — pinned by
+  /// tests/golden_digest_test.cpp — so this is purely a scheduling knob.
   std::size_t shards = 0;
-
-  /// Fuse accumulate → chunk-summarize → threshold-scan into one pass over
-  /// each dirty chunk (GradientAccumulator::add_scan): participants with a
-  /// valid top-k threshold hint emit their candidate keys during gradient
-  /// accumulation, and the method's selection consumes them instead of
-  /// re-scanning. Bitwise identical on/off (the fused scan IS the hint
-  /// filter's scan); false keeps the separate-pass reference for A/B timing.
-  bool fused_prescan = true;
 
   /// Synchronized barrier (default) or buffered-async flushes. FedAvg-style
   /// methods reject kBufferedAsync (diverging local weights make a buffered
@@ -358,7 +351,7 @@ class Simulation {
   /// round's event timeline, and resolves the flush set + staleness
   /// (barrier: flush = participants, all fresh).
   void stage_schedule(RoundContext& ctx);
-  /// Arms fused prescans and runs local computation across the pool.
+  /// Runs local computation across the pool.
   void stage_compute(RoundContext& ctx);
   /// The server round over the flush set (selection + aggregation).
   void stage_server_round(RoundContext& ctx);
@@ -428,7 +421,6 @@ class Simulation {
   std::vector<double> uplink_slots_;     // per-participant uplink payloads
   std::vector<double> weight_storage_;   // renormalized data weights
   sparsify::RoundInput round_input_;
-  bool prescan_round_ = false;           // fused prescan requested this round
   std::vector<double> mb_losses_;
   std::vector<double> probe_prev_, probe_cur_, probe_shift_;
   std::vector<float> shift_saved_;       // shared-store probe shift undo buffer

@@ -1,7 +1,6 @@
 #include "sparsify/fab_topk.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 
 #include "sparsify/keys.h"
@@ -36,173 +35,48 @@ std::size_t FabTopK::find_kappa(const std::vector<SparseVector>& uploads, std::s
   return lo;
 }
 
-std::size_t FabTopK::find_kappa_stamped(std::size_t k) {
-  // growth[j] = number of indices appearing first at prefix depth j+1, so
-  // |∪_i J_i^κ| = growth[0] + … + growth[κ-1]. One stamp pass computes every
-  // union size at once; the walk then returns the largest κ with size ≤ k.
-  union_growth_.assign(k, 0);
-  std::uint32_t* stamp = pipe_.stamp();
-  const std::uint32_t token = pipe_.next_token();
-  for (std::size_t j = 0; j < k; ++j) {
-    for (const auto& up : pipe_.uploads()) {
-      if (up.size() <= j) continue;
-      const auto idx = static_cast<std::size_t>(up[j].index);
-      if (stamp[idx] != token) {
-        stamp[idx] = token;
-        ++union_growth_[j];
-      }
-    }
-  }
-  std::size_t size = 0, kappa = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    size += union_growth_[j];
-    if (size > k) break;
-    kappa = j + 1;
-  }
-  return kappa;
-}
-
+// One round at any shard count S (S = 1 included): every O(N·k) server pass
+// is split into per-shard arena passes over a contiguous client partition
+// plus a fixed-order serial combine, so the outcome does not depend on S.
+//
+//  * κ — an index's prefix depth is the smallest j at which any client
+//    uploads it as its (j+1)-th strongest entry; |∪_i J_i^κ| counts the
+//    indices with depth < κ. Per-shard minima min-merged in fixed shard
+//    order give each index's global depth (min is commutative/associative),
+//    a histogram over depths gives every union size at once, and a
+//    prefix-sum walk returns the largest κ with size ≤ k — the same κ as the
+//    binary search of find_kappa.
+//  * J — {depth < κ}, read off the merged depth map. Its order is never
+//    observable: the update is index-sorted at the end and resets /
+//    contributions test only membership.
+//  * Fill — the (κ+1)-th candidates not already in J, strongest first by
+//    (|v| desc, index asc), first occurrence of each index, until |J| = k.
+//    Per-shard: radix-sort the shard's candidates as 64-bit keys (the same
+//    total order), dedup within the shard (a dropped duplicate is weaker than
+//    an earlier same-index key, so the walk would skip it anyway) and
+//    truncate to the fill quota f = k − |J| (an entry below f distinct
+//    stronger in-shard candidates has ≥ f distinct stronger candidates
+//    globally and can never be chosen). Tree-merging the runs restores the
+//    global candidate order for the final walk.
+//  * Aggregation / resets — BucketAggregator reproduces the client-major
+//    float addition sequence per index (see shard_engine.h); CsrResetBuilder
+//    emits the client-major reset lists over a contiguous partition. The
+//    builder runs FIRST: the aggregator re-stamps J's entries with its touch
+//    token, consuming the in_j membership the filter reads.
 RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
   validate_round_input(in);
   const std::size_t n = in.client_vectors.size();
-  k = std::clamp<std::size_t>(k, 1, pipe_.dim());
-  // Dispatch on the pipeline's shard count alone (not n): the hint store must
-  // not flip between the per-client workspaces and the fleet store across
-  // rounds. The robust path also routes through the sharded engine (at S = 1
-  // it is the reference round with the robust reduce swapped in) — the
-  // defense-off reference loop below stays bitwise untouched.
-  if (pipe_.sharded() || pipe_.robust_enabled()) return round_sharded(in, k);
-
-  // Stage: client-side top-k of the accumulated gradient, strongest first —
-  // the N independent selections thread across the registered pool, pruning
-  // on the accumulators' chunk summaries when the caller provides them.
-  const std::vector<SparseVector>& uploads = pipe_.select_uploads(in, k);
-
-  // Stage: screen the uploads before anything server-side reads them — a
-  // poisoned payload must not reach the κ search, let alone the arena.
-  ValidationStats vstats;
-  const std::span<const double> weights = pipe_.validate_uploads(in, vstats);
-  if (vstats.degraded) {
-    RoundOutcome out;
-    pipe_.finish_degraded(in, out);
-    out.validation = vstats;
-    return out;
-  }
-
-  // Server side: fairness-aware selection.
-  const std::size_t kappa = find_kappa_stamped(k);
-
-  float* agg = pipe_.agg();
-  std::uint32_t* stamp = pipe_.stamp();
-  const std::uint32_t in_j = pipe_.next_token();
-  selected_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& up = uploads[i];
-    const std::size_t take = std::min(kappa, up.size());
-    for (std::size_t j = 0; j < take; ++j) {
-      const auto idx = static_cast<std::size_t>(up[j].index);
-      if (stamp[idx] != in_j) {
-        stamp[idx] = in_j;
-        selected_.push_back(up[j].index);
-      }
-    }
-  }
-
-  // Fill to k from the (κ+1)-th candidates (the only members of
-  // (∪J^{κ+1}) \ (∪J^κ)), strongest |value| first, deterministic tie-break.
-  if (selected_.size() < k) {
-    fill_candidates_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& up = uploads[i];
-      if (up.size() > kappa) {
-        const auto& e = up[kappa];
-        if (stamp[static_cast<std::size_t>(e.index)] != in_j) fill_candidates_.push_back(e);
-      }
-    }
-    std::sort(fill_candidates_.begin(), fill_candidates_.end(),
-              [](const SparseEntry& a, const SparseEntry& b) {
-                const float aa = std::fabs(a.value), bb = std::fabs(b.value);
-                if (aa != bb) return aa > bb;
-                return a.index < b.index;
-              });
-    for (const auto& e : fill_candidates_) {
-      if (selected_.size() >= k) break;
-      const auto idx = static_cast<std::size_t>(e.index);
-      if (stamp[idx] != in_j) {
-        stamp[idx] = in_j;
-        selected_.push_back(e.index);
-      }
-    }
-  }
-
-  // Stage: aggregate b_j = Σ_i (C_i/C) a_ij over uploaders, for j ∈ J only,
-  // through the pipeline's dense arena.
-  for (const std::int32_t j : selected_) agg[static_cast<std::size_t>(j)] = 0.0f;
-
-  RoundOutcome out;
-  out.kind = RoundOutcome::Kind::kSparseUpdate;
-  out.validation = vstats;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto w = static_cast<float>(weights[i]);
-    for (const auto& e : uploads[i]) {
-      const auto idx = static_cast<std::size_t>(e.index);
-      if (stamp[idx] == in_j) agg[idx] += w * e.value;  // j ∈ J and j ∈ J_i
-    }
-  }
-  // Stage: per-client resets + contributions (an uploaded entry resets iff it
-  // made the broadcast, i.e. carries the in_j stamp).
-  build_reset_lists(uploads, stamp, in_j, out);
-
-  out.update.reserve(selected_.size());
-  for (const std::int32_t j : selected_) {
-    out.update.push_back(SparseEntry{j, agg[static_cast<std::size_t>(j)]});
-  }
-  sort_by_index(out.update);
-
-  // Stage: payload accounting. Clients transmit in parallel, so the
-  // synchronous round waits on the largest actual per-client payload — not a
-  // flat 2k, which overcharges whenever a client uploaded fewer than k
-  // entries. The full per-client distribution feeds the heterogeneous
-  // network model's straggler max.
-  pipe_.finish_payload(out);
-  return out;
-}
-
-// Sharded round: the same algorithm with every O(N·k) server pass split into
-// per-shard arena passes plus a fixed-order serial combine. Equivalence to
-// the reference path, phase by phase:
-//
-//  * κ — the reference's growth histogram counts indices by their MIN prefix
-//    depth over all clients. Min is commutative/associative, so per-shard
-//    minima min-merged in fixed shard order give the same per-index depth,
-//    the same histogram, the same κ.
-//  * J — the reference builds selected_ in client-major prefix order, but
-//    its ORDER is never observable: the update is index-sorted at the end
-//    and resets/contributions test only membership. J as a set is
-//    {min depth < κ}, read off the merged depth map.
-//  * Fill — the reference sorts all (κ+1)-th candidates by (|v| desc, index
-//    asc) and walks with first-occurrence index dedup until k. Per-shard:
-//    radix-sort the shard's candidates as 64-bit keys (the identical total
-//    order), dedup within the shard (a dropped duplicate is weaker than an
-//    earlier same-index key, so the reference walk would skip it too) and
-//    truncate to the fill quota f = k − |J| (an entry below f distinct
-//    stronger in-shard candidates has ≥ f distinct stronger candidates
-//    globally — it can never be chosen). Tree-merging the runs restores the
-//    exact global candidate order; the final walk is the reference walk.
-//  * Aggregation / resets — BucketAggregator reproduces the client-major
-//    float addition sequence per index (see shard_engine.h); CsrResetBuilder
-//    is the reference's count/fill loop over a contiguous partition. The
-//    builder runs FIRST: the aggregator re-stamps J's entries with its touch
-//    token, consuming the in_j membership the filter reads.
-RoundOutcome FabTopK::round_sharded(const RoundInput& in, std::size_t k) {
-  const std::size_t n = in.client_vectors.size();
   const std::size_t dim = pipe_.dim();
+  k = std::clamp<std::size_t>(k, 1, dim);
   util::ThreadPool* pool = tensor::parallel_pool();
   const ShardPlan plan = pipe_.make_plan(n);
   const std::size_t S = plan.shards();
 
+  // Stage: client-side top-k of the accumulated gradient, strongest first.
   const std::vector<SparseVector>& uploads = pipe_.select_uploads(in, k);
 
+  // Stage: screen the uploads before anything server-side reads them — a
+  // poisoned payload must not reach the κ search, let alone the arena.
   ValidationStats vstats;
   const std::span<const double> weights = pipe_.validate_uploads(in, vstats);
   if (vstats.degraded) {
@@ -232,8 +106,9 @@ RoundOutcome FabTopK::round_sharded(const RoundInput& in, std::size_t k) {
     }
   });
 
-  // Fixed-order min-merge into the global depth map, then the same growth
-  // histogram walk as find_kappa_stamped.
+  // Fixed-order min-merge into the global depth map, then the growth
+  // histogram walk: union_growth_[j] counts the indices first appearing at
+  // prefix depth j+1.
   if (depth_.size() < dim) depth_.resize(dim, 0);
   std::uint32_t* stamp = pipe_.stamp();
   const std::uint32_t seen = pipe_.next_token();
@@ -325,11 +200,14 @@ RoundOutcome FabTopK::round_sharded(const RoundInput& in, std::size_t k) {
   }
 
   // Buckets are ascending disjoint index ranges, so per-bucket index sorts
-  // concatenate into the globally index-sorted update the reference emits.
-  // Every j ∈ J has at least one uploader (prefix members and fill
-  // candidates both come from uploads), so the aggregated set IS J.
+  // concatenate into the globally index-sorted update. Every j ∈ J has at
+  // least one uploader (prefix members and fill candidates both come from
+  // uploads), so the aggregated set IS J.
   pipe_.emit_update_from_buckets(pool, out);
 
+  // Stage: payload accounting. Clients transmit in parallel, so the round
+  // waits on the largest actual per-client payload, not a flat 2k; the full
+  // per-client distribution feeds the heterogeneous network model.
   pipe_.finish_payload(out);
   return out;
 }

@@ -24,7 +24,6 @@
 
 #include "sparsify/robust.h"
 #include "sparsify/sparse_vector.h"
-#include "sparsify/topk.h"
 #include "sparsify/validate.h"
 #include "util/rng.h"
 
@@ -62,12 +61,6 @@ struct RoundInput {
   /// Empty vector = no summaries (dense scans); individual empty spans opt
   /// single clients out. FedAvg-style inputs (client weights) leave it empty.
   std::vector<std::span<const float>> client_chunk_max;
-  /// Per-client fused prescan views (Client::add_scan results, slot-aligned
-  /// with client_vectors). Empty vector = no prescans this round; a
-  /// default-constructed view opts a single slot out. Top-k methods hand
-  /// these to the selection, which consumes a view only when it matches the
-  /// hint it would have scanned with — results are byte-identical either way.
-  std::vector<PrescanView> client_prescan;
   /// Optional wire-tamper hook (fl::FaultModel): applied to each slot's
   /// upload after selection, before screening. nullptr = intact wire. Must be
   /// pure in (round, client, payload) so probe rounds and replays see the
@@ -170,10 +163,10 @@ class Method {
   /// stateful ones (periodic-k) override it to snapshot/restore.
   virtual RoundOutcome probe_round(const RoundInput& in, std::size_t k) { return round(in, k); }
 
-  /// Requests the sharded round engine with `shards` client shards (top-k
-  /// methods; others ignore it). 0 or 1 selects the single-shard reference
-  /// path. Outcomes are byte-identical at every shard count — sharding is a
-  /// scheduling decision, not a semantic one.
+  /// Splits the server round's client passes into `shards` contiguous shards
+  /// (top-k methods; others ignore it). 0 is treated as 1. Every shard count,
+  /// 1 included, runs the same round body and produces byte-identical
+  /// outcomes — sharding is a scheduling decision, not a semantic one.
   virtual void set_sharding(std::size_t shards) { (void)shards; }
 
   /// Configures the upload-screening stage (sparsify/validate.h). Methods
@@ -189,15 +182,15 @@ class Method {
   virtual void set_robust(const RobustConfig& cfg) { (void)cfg; }
 
   /// The |value| threshold the next depth-`k` selection for `client_id`
-  /// would scan with (its persisted hint), or 0 when unknown. The simulation
-  /// uses this to seed the client-side fused prescan and the buffered-async
-  /// engine compares accumulator mass against it for event-triggered uploads.
+  /// would scan with (its persisted hint), or 0 when unknown. The
+  /// buffered-async engine compares accumulator mass against it for
+  /// event-triggered uploads.
   /// Implementations must return 0 when the persisted hint was produced for a
   /// k incompatible with the requested one (hint_compatible in topk.h) — a
   /// client rejoining after a churn gap during which the controller moved k
   /// far away must reseed through the prefilter, not scan with a threshold
   /// from a different regime. Methods without per-client selection state
-  /// return 0 (no prescan, no event triggering).
+  /// return 0 (no event triggering).
   virtual float upload_threshold_hint(std::size_t client_id, std::size_t k) const {
     (void)client_id;
     (void)k;
@@ -220,15 +213,5 @@ void validate_round_input(const RoundInput& in);
 /// legacy parallel-uplink max. Shared by every upload-based method so the
 /// two fields cannot drift apart.
 void set_uplink_from_uploads(const std::vector<SparseVector>& uploads, RoundOutcome& out);
-
-/// Builds the client-major kPerClient reset lists + contributed counts from
-/// per-client uploads on the single-shard reference path (the sharded engine
-/// uses CsrResetBuilder). `stamp`/`token` give the downlink-membership test:
-/// an uploaded entry is reset (and counts as contributed) iff
-/// stamp[idx] == token — pass stamp == nullptr for methods whose broadcast
-/// contains every uploaded index (unidirectional). Shared by the top-k
-/// methods so the CSR construction cannot drift between them.
-void build_reset_lists(const std::vector<SparseVector>& uploads, const std::uint32_t* stamp,
-                       std::uint32_t token, RoundOutcome& out);
 
 }  // namespace fedsparse::sparsify

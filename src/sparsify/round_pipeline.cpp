@@ -53,15 +53,8 @@ void RoundPipeline::set_sharding(std::size_t shards) noexcept {
 const std::vector<SparseVector>& RoundPipeline::select_uploads(const RoundInput& in,
                                                                std::size_t k) {
   FEDSPARSE_SPAN("pipeline_select");
-  const std::vector<PrescanView>* pre =
-      in.client_prescan.empty() ? nullptr : &in.client_prescan;
-  if (shards_ > 1) {
-    top_k_uploads_fleet(in.client_vectors, in.client_chunk_max, k, in.client_ids, slot_ws_,
-                        hints_, uploads_, pre);
-  } else {
-    top_k_uploads(in.client_vectors, in.client_chunk_max, k, in.client_ids, topk_ws_, uploads_,
-                  pre);
-  }
+  top_k_uploads_fleet(in.client_vectors, in.client_chunk_max, k, in.client_ids, slot_ws_, hints_,
+                      uploads_);
 #ifdef FEDSPARSE_CONTRACTS
   check_selected_uploads(in, uploads_, dim_);
 #endif
@@ -102,18 +95,9 @@ void RoundPipeline::finish_degraded(const RoundInput& in, RoundOutcome& out) con
 }
 
 float RoundPipeline::threshold_hint(std::size_t client_id, std::size_t k) const {
-  float threshold = 0.0f;
-  std::size_t hint_k = 0;
-  if (shards_ > 1) {
-    if (client_id >= hints_.size()) return 0.0f;
-    threshold = hints_[client_id].threshold;
-    hint_k = hints_[client_id].k;
-  } else {
-    if (client_id >= topk_ws_.size()) return 0.0f;
-    threshold = topk_ws_[client_id].threshold_hint;
-    hint_k = topk_ws_[client_id].hint_k;
-  }
-  return hint_compatible(hint_k, k) ? threshold : 0.0f;
+  if (client_id >= hints_.size()) return 0.0f;
+  const ClientHint& hint = hints_[client_id];
+  return hint_compatible(hint.k, k) ? hint.threshold : 0.0f;
 }
 
 std::vector<ShardArena>& RoundPipeline::arenas(std::size_t count) {
@@ -234,9 +218,9 @@ void RoundPipeline::emit_update_from_buckets(util::ThreadPool* pool, RoundOutcom
 
 void RoundPipeline::finish_payload(RoundOutcome& out) const {
 #ifdef FEDSPARSE_CONTRACTS
-  // Every emitting path (reference sort, bucket concatenation) must deliver
-  // the update strictly index-ascending and in-bounds — appliers and the
-  // probe's sparse_subtract rely on it.
+  // Every emitting path (index sort, bucket concatenation) must deliver the
+  // update strictly index-ascending and in-bounds — appliers and the probe's
+  // sparse_subtract rely on it.
   for (std::size_t p = 0; p < out.update.size(); ++p) {
     FEDSPARSE_CONTRACT(out.update[p].index >= 0 &&
                            static_cast<std::size_t>(out.update[p].index) < dim_,

@@ -1,27 +1,26 @@
 // RoundPipeline: the staged server-round machinery shared by the top-k
 // methods.
 //
-// Before this refactor FAB / FUB / unidirectional each owned a monolithic
-// round() + round_sharded() pair carrying the same state triple-booked:
-// upload workspaces (per-client AND per-thread-slot + hint store), the dense
-// aggregation arena with its stamp discipline, the sharded arenas / key
-// merger / bucket aggregator / CSR reset builder, and the payload accounting
-// tail. A synchronized round is really one composition of stages —
+// A synchronized round is one composition of stages —
 //
-//   accumulate/select uploads → (method-specific index selection)
+//   select uploads → screen → (method-specific index selection)
 //     → aggregate → resets → emit update → payload accounting
 //
 // — and only the middle step differs between methods (FAB's κ-search + fill,
 // FUB's top-k over the aggregate, unidirectional's keep-everything). The
-// pipeline owns every shared stage plus the scratch it runs on; methods hold
-// one pipeline and compose. The buffered-async engine (fl/simulation.h)
-// drives the exact same stages — a flush is a round over the arrival buffer —
-// which is what makes async ≡ sync at zero staleness testable method by
-// method.
+// pipeline owns every shared stage plus the scratch it runs on: per-thread-
+// slot selection workspaces with an 8-byte per-client hint store, the dense
+// aggregation arena with its stamp discipline, the shard arenas, key merger,
+// bucket aggregator and CSR reset builder. Each method holds one pipeline and
+// has exactly one round body, which runs at every shard count (S = 1
+// included). The buffered-async engine (fl/simulation.h) drives the same
+// stages — a flush is a round over the arrival buffer — which is what makes
+// async ≡ sync at zero staleness testable method by method.
 //
 // Determinism contract: each stage is bit-identical across shard counts and
 // thread counts (see shard_engine.h for the per-stage arguments); the
-// pipeline adds no ordering decisions of its own.
+// pipeline adds no ordering decisions of its own. tests/golden_digest_test.cpp
+// pins whole-run outcomes at shards 1/8/auto and threads 1/2/8.
 #pragma once
 
 #include <cstdint>
@@ -44,19 +43,18 @@ class RoundPipeline {
 
   std::size_t dim() const noexcept { return dim_; }
 
-  /// Shard count for the sharded stages; 1 selects the per-client-workspace
-  /// reference path everywhere. Must not flip between rounds: the hint store
-  /// moves between per-client workspaces and the fleet ClientHint array.
+  /// Shard count of the client passes (0 is treated as 1). A pure scheduling
+  /// value: every count runs the same stages with the same outcome, so it may
+  /// change between rounds.
   void set_sharding(std::size_t shards) noexcept;
   std::size_t shards() const noexcept { return shards_; }
-  bool sharded() const noexcept { return shards_ > 1; }
 
-  // --- stage: accumulate → prescan/select (per-client top-k uploads) --------
+  // --- stage: select (per-client top-k uploads) -----------------------------
 
-  /// Computes every participant's top-k upload into uploads() — through the
-  /// per-client workspaces (shards == 1) or the per-slot workspaces + compact
-  /// hint store (sharded) — consuming any fused prescan views the input
-  /// carries. Byte-identical across both paths and every thread count.
+  /// Computes every participant's top-k upload into uploads() through the
+  /// per-slot workspaces + compact per-client hint store
+  /// (top_k_uploads_fleet), then applies the input's tamper hook.
+  /// Byte-identical at every thread count.
   const std::vector<SparseVector>& select_uploads(const RoundInput& in, std::size_t k);
   std::vector<SparseVector>& uploads() noexcept { return uploads_; }
 
@@ -84,8 +82,7 @@ class RoundPipeline {
   /// scan with, or 0 when unknown OR when the persisted hint was produced for
   /// an incompatible k (see hint_compatible in topk.h): after a churn gap the
   /// controller may have moved k far from where the client last uploaded, and
-  /// arming a prescan with that stale threshold wastes the fused sweep — the
-  /// hint reseeds through the normal prefilter instead.
+  /// its next selection reseeds through the sampled prefilter instead.
   float threshold_hint(std::size_t client_id, std::size_t k) const;
 
   // --- dense aggregation arena + stamp discipline ---------------------------
@@ -97,7 +94,7 @@ class RoundPipeline {
   /// A fresh stamp token (monotonic; shared by every stage of a round).
   std::uint32_t next_token() noexcept { return ++stamp_token_; }
 
-  // --- sharded stages -------------------------------------------------------
+  // --- sharded stages (any shard count, 1 included) -------------------------
 
   ShardPlan make_plan(std::size_t n) const { return make_shard_plan(n, shards_); }
 
@@ -164,9 +161,7 @@ class RoundPipeline {
   std::vector<std::uint32_t> stamp_;
   std::uint32_t stamp_token_ = 0;
 
-  // Selection state: per-client workspaces (single-shard) or per-thread-slot
-  // workspaces + 8-byte per-client hints (sharded).
-  std::vector<TopKWorkspace> topk_ws_;
+  // Selection state: per-thread-slot workspaces + 8-byte per-client hints.
   std::vector<TopKWorkspace> slot_ws_;
   std::vector<ClientHint> hints_;
   std::vector<SparseVector> uploads_;

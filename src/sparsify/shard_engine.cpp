@@ -185,7 +185,7 @@ std::size_t BucketAggregator::scatter(const std::vector<SparseVector>& uploads,
 
   // Phase 3: scatter. Each shard walks its clients in ascending slot order
   // and bumps its own cursors, so inside a bucket the entry order is
-  // (client asc, upload order) — the reference aggregation sequence.
+  // (client asc, upload order) — the serial aggregation sequence.
   for_each_shard(pool, S, [&](std::size_t s) {
     std::size_t* cursors = cursors_.data() + s * B;
     for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {

@@ -6,13 +6,13 @@
 // mutable cache line, and every cross-shard combine step is a fixed-order
 // serial reduction (tree merge of sorted key runs, min-merge of prefix
 // depths, prefix sums of counts). That fixed order is what makes the engine
-// deterministic: the outcome is bit-identical at every shard count, because
-// each combining operator either is exactly the reference loop re-ordered
-// over a partition it is invariant to (min, counting, membership) or
-// reproduces the reference's float addition sequence verbatim (the
-// bucket-major aggregation below).
+// deterministic: the outcome is bit-identical at every shard count (S = 1 is
+// just the one-shard partition of the same round body), because each
+// combining operator either is invariant to how the clients are partitioned
+// (min, counting, membership) or reproduces the serial client-major float
+// addition sequence verbatim (the bucket-major aggregation below).
 //
-// Three pieces live here, shared by the top-k methods' sharded paths:
+// Three pieces live here, shared by the top-k methods' round bodies:
 //
 //  * KeyMerger / merge_topk_sorted_runs — k-bounded multi-way merge of
 //    descending-sorted 64-bit key runs (keys.h) via pairwise tree reduction.
@@ -24,8 +24,8 @@
 //    scatter into disjoint contiguous index buckets (bucket b owns indices
 //    [b·D/B, (b+1)·D/B)), preserving client-major order inside each bucket,
 //    then every bucket reduces independently. Within one index the float
-//    additions run in exactly the reference's client order, so the sums are
-//    bit-identical — no atomics, no reassociation.
+//    additions run in client-slot order at every shard and bucket count, so
+//    the sums are bit-identical — no atomics, no reassociation.
 //
 //  * CsrResetBuilder — the client-major CSR reset lists + contributed
 //    counts, computed as parallel count / serial prefix / parallel fill.
@@ -107,7 +107,7 @@ std::vector<std::uint64_t> merge_topk_sorted_runs(
 /// Sharded weighted union-aggregation of per-client sparse uploads into a
 /// caller-owned dense arena. See the file comment for the scheme. Exactness:
 /// for each index j, agg[j] accumulates w_i · v_ij over the clients in
-/// ascending slot order — the reference methods' client-major loop — because
+/// ascending slot order — the serial client-major loop — because
 /// the scatter writes each bucket's entries in (shard asc, client asc,
 /// upload order) and the bucket walk adds them left to right.
 class BucketAggregator {
@@ -184,9 +184,9 @@ class BucketAggregator {
 
 /// Client-major CSR reset lists + contributed counts over uploads, with the
 /// same optional membership filter: count pass (parallel per shard), serial
-/// prefix, fill pass (parallel per shard). Matches the reference methods'
-/// sequential build exactly — counting and filling are order-invariant over
-/// a contiguous partition.
+/// prefix, fill pass (parallel per shard). Matches a sequential client-major
+/// build exactly — counting and filling are order-invariant over a
+/// contiguous partition.
 class CsrResetBuilder {
  public:
   void run(const std::vector<SparseVector>& uploads, std::size_t shards,

@@ -19,7 +19,12 @@ namespace {
 
 constexpr std::size_t kSampleSize = 512;
 
-}  // namespace
+// Below this dimension the prefilter's sampling pass is not worth its scan;
+// quickselect over all D entries is already cheap.
+constexpr std::size_t kPrefilterMinDim = 4096;
+
+// Survivor cap of the hinted threshold scan for a depth-k selection.
+constexpr std::size_t hint_cap(std::size_t k) { return 8 * k + 64; }
 
 // Appends the key of every entry in [begin, end) with |v[i]| >= threshold,
 // in index order. Returns false (leaving keys valid but incomplete) as soon
@@ -101,8 +106,6 @@ bool threshold_scan_append(std::span<const float> v, std::span<const float> chun
   return true;
 }
 
-namespace {
-
 // Estimates an |value| threshold from a strided sample such that roughly
 // 2.5*k of the D entries survive, then keeps only entries >= threshold.
 // Returns false when fewer than k survive (threshold overshot) — the caller
@@ -147,7 +150,7 @@ bool prefilter(std::span<const float> v, std::size_t k, std::span<const float> c
 bool hint_filter(std::span<const float> v, std::size_t k, float hint,
                  std::span<const float> chunk_max, std::vector<std::uint64_t>& keys) {
   if (hint <= 0.0f) return false;
-  const std::size_t cap = topk_hint_cap(k);
+  const std::size_t cap = hint_cap(k);
   keys.clear();
   if (!threshold_scan_append(v, chunk_max, hint, cap, keys)) {
     keys.clear();
@@ -247,7 +250,7 @@ void collect_tiered_dense(std::span<const float> v, std::span<const float> chunk
 
 // Leaves the k strongest entries in ws.candidates, sorted strongest first.
 void select(std::span<const float> v, std::span<const float> chunk_max, std::size_t k,
-            TopKWorkspace& ws, const PrescanView* pre = nullptr) {
+            TopKWorkspace& ws) {
   if (!chunk_max.empty() && chunk_max.size() != accumulator_chunks(v.size())) {
     throw std::invalid_argument("top_k: chunk summary size does not cover the vector");
   }
@@ -260,24 +263,8 @@ void select(std::span<const float> v, std::span<const float> chunk_max, std::siz
 
   bool hint_ok = false;
   bool filtered = false;
-  if (k < v.size() && v.size() >= kTopKPrefilterMinDim) {
-    // A fused prescan stands in for the hinted scan when it ran with exactly
-    // the threshold and depth this call would use: a complete prescan with
-    // >= k survivors IS hint_filter's key sequence (same threshold, same
-    // topk_hint_cap(k) bail-out, same ascending chunk order), and an
-    // incomplete or short one is exactly the case where hint_filter would
-    // have failed — skip straight to the sampled prefilter without paying
-    // the scan a second time.
-    bool pre_used = false;
-    if (pre != nullptr && pre->threshold > 0.0f && pre->threshold == ws.threshold_hint &&
-        static_cast<std::size_t>(pre->k) == k) {
-      pre_used = true;
-      if (pre->complete && pre->keys.size() >= k) {
-        keys.assign(pre->keys.begin(), pre->keys.end());
-        hint_ok = true;
-      }
-    }
-    if (!pre_used) hint_ok = hint_filter(v, k, ws.threshold_hint, chunk_max, keys);
+  if (k < v.size() && v.size() >= kPrefilterMinDim) {
+    hint_ok = hint_filter(v, k, ws.threshold_hint, chunk_max, keys);
     filtered = hint_ok || prefilter(v, k, chunk_max, keys);
   }
   if (!filtered) {
@@ -318,8 +305,8 @@ void top_k_entries(std::span<const float> v, std::size_t k, TopKWorkspace& ws, S
 }
 
 void top_k_entries(std::span<const float> v, std::span<const float> chunk_max, std::size_t k,
-                   TopKWorkspace& ws, SparseVector& out, const PrescanView* pre) {
-  select(v, chunk_max, k, ws, pre);
+                   TopKWorkspace& ws, SparseVector& out) {
+  select(v, chunk_max, k, ws);
   out.assign(ws.candidates.begin(), ws.candidates.end());
 }
 
@@ -330,106 +317,45 @@ void top_k_indices(std::span<const float> v, std::size_t k, TopKWorkspace& ws,
   for (const auto& e : ws.candidates) out.push_back(e.index);
 }
 
-namespace {
-
-// Shared fan-out skeleton of the upload variants: runs sel(s) for every slot,
-// across the pool when the work is large enough to amortize the dispatch.
-void for_each_upload_slot(std::size_t n, std::size_t total_elems,
-                          const std::function<void(std::size_t)>& sel) {
-  // Below ~64k total elements the pool dispatch costs more than the
-  // selections; the FAB round this threads (N=10, D=128k) is far above it.
-  constexpr std::size_t kParallelElemThreshold = 1u << 16;
-  util::ThreadPool* pool = tensor::parallel_pool();
-  if (pool != nullptr && pool->size() > 1 && n > 1 && total_elems >= kParallelElemThreshold) {
-    pool->parallel_for(n, sel, /*grain=*/1);
-  } else {
-    for (std::size_t s = 0; s < n; ++s) sel(s);
-  }
-}
-
-std::span<const float> upload_summary(const std::vector<std::span<const float>>& chunk_maxes,
-                                      std::size_t s) {
-  return chunk_maxes.empty() ? std::span<const float>{} : chunk_maxes[s];
-}
-
-const PrescanView* upload_prescan(const std::vector<PrescanView>* prescan, std::size_t s) {
-  return prescan == nullptr ? nullptr : &(*prescan)[s];
-}
-
-}  // namespace
-
-void top_k_uploads(const std::vector<std::span<const float>>& vecs,
-                   const std::vector<std::span<const float>>& chunk_maxes, std::size_t k,
-                   std::span<const std::size_t> ids, std::vector<TopKWorkspace>& workspaces,
-                   std::vector<SparseVector>& uploads,
-                   const std::vector<PrescanView>* prescan) {
-  const std::size_t n = vecs.size();
-  if (!chunk_maxes.empty() && chunk_maxes.size() != n) {
-    throw std::invalid_argument("top_k_uploads: chunk_maxes size mismatch");
-  }
-  if (prescan != nullptr && prescan->size() != n) {
-    throw std::invalid_argument("top_k_uploads: prescan size mismatch");
-  }
-  uploads.resize(n);  // shrink-to-n keeps callers' per-client views exact
-  std::size_t ws_needed = n;
-  for (const std::size_t id : ids) ws_needed = std::max(ws_needed, id + 1);
-  if (workspaces.size() < ws_needed) workspaces.resize(ws_needed);
-  const auto ws_slot = [&](std::size_t s) { return ids.empty() ? s : ids[s]; };
-  std::size_t total = 0;
-  for (const auto& v : vecs) total += v.size();
-  for_each_upload_slot(n, total, [&](std::size_t s) {
-    top_k_entries(vecs[s], upload_summary(chunk_maxes, s), k, workspaces[ws_slot(s)],
-                  uploads[s], upload_prescan(prescan, s));
-  });
-}
-
 void top_k_uploads_fleet(const std::vector<std::span<const float>>& vecs,
                          const std::vector<std::span<const float>>& chunk_maxes, std::size_t k,
                          std::span<const std::size_t> ids,
                          std::vector<TopKWorkspace>& slot_workspaces,
-                         std::vector<ClientHint>& hints, std::vector<SparseVector>& uploads,
-                         const std::vector<PrescanView>* prescan) {
+                         std::vector<ClientHint>& hints, std::vector<SparseVector>& uploads) {
   const std::size_t n = vecs.size();
   if (!chunk_maxes.empty() && chunk_maxes.size() != n) {
     throw std::invalid_argument("top_k_uploads_fleet: chunk_maxes size mismatch");
   }
-  if (prescan != nullptr && prescan->size() != n) {
-    throw std::invalid_argument("top_k_uploads_fleet: prescan size mismatch");
-  }
-  uploads.resize(n);
+  uploads.resize(n);  // shrink-to-n keeps callers' per-client views exact
   std::size_t hints_needed = n;
   for (const std::size_t id : ids) hints_needed = std::max(hints_needed, id + 1);
   if (hints.size() < hints_needed) hints.resize(hints_needed);
   util::ThreadPool* pool = tensor::parallel_pool();
   const std::size_t slots = pool != nullptr ? pool->slot_count() : 1;
   if (slot_workspaces.size() < slots) slot_workspaces.resize(slots);
-  const auto hint_slot = [&](std::size_t s) { return ids.empty() ? s : ids[s]; };
-  std::size_t total = 0;
-  for (const auto& v : vecs) total += v.size();
-  for_each_upload_slot(n, total, [&](std::size_t s) {
+  const auto select_slot = [&](std::size_t s) {
     // The workspace is pure scratch except for (threshold_hint, hint_k);
-    // round-tripping that pair through the per-client store makes this
-    // byte-identical to a dedicated per-client workspace.
+    // round-tripping that pair through the per-client store makes every
+    // client's selection independent of which slot workspace ran it.
     TopKWorkspace& ws = slot_workspaces[pool != nullptr ? pool->current_slot() : 0];
-    ClientHint& hint = hints[hint_slot(s)];
+    ClientHint& hint = hints[ids.empty() ? s : ids[s]];
     ws.threshold_hint = hint.threshold;
     ws.hint_k = hint.k;
-    top_k_entries(vecs[s], upload_summary(chunk_maxes, s), k, ws, uploads[s],
-                  upload_prescan(prescan, s));
+    top_k_entries(vecs[s], chunk_maxes.empty() ? std::span<const float>{} : chunk_maxes[s], k,
+                  ws, uploads[s]);
     hint.threshold = ws.threshold_hint;
     hint.k = static_cast<std::uint32_t>(ws.hint_k);
-  });
-}
-
-void top_k_uploads(const std::vector<std::span<const float>>& vecs, std::size_t k,
-                   std::span<const std::size_t> ids, std::vector<TopKWorkspace>& workspaces,
-                   std::vector<SparseVector>& uploads) {
-  top_k_uploads(vecs, /*chunk_maxes=*/{}, k, ids, workspaces, uploads);
-}
-
-void top_k_uploads(const std::vector<std::span<const float>>& vecs, std::size_t k,
-                   std::vector<TopKWorkspace>& workspaces, std::vector<SparseVector>& uploads) {
-  top_k_uploads(vecs, /*chunk_maxes=*/{}, k, /*ids=*/{}, workspaces, uploads);
+  };
+  // Below ~64k total elements the pool dispatch costs more than the
+  // selections; the FAB round this threads (N=10, D=128k) is far above it.
+  constexpr std::size_t kParallelElemThreshold = 1u << 16;
+  std::size_t total = 0;
+  for (const auto& v : vecs) total += v.size();
+  if (pool != nullptr && pool->size() > 1 && n > 1 && total >= kParallelElemThreshold) {
+    pool->parallel_for(n, select_slot, /*grain=*/1);
+  } else {
+    for (std::size_t s = 0; s < n; ++s) select_slot(s);
+  }
 }
 
 std::vector<std::int32_t> top_k_indices(std::span<const float> v, std::size_t k) {

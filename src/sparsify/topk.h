@@ -33,17 +33,6 @@
 
 namespace fedsparse::sparsify {
 
-/// Below this dimension the prefilter's sampling pass is not worth its scan;
-/// quickselect over all D entries is already cheap. Exported so the
-/// simulation's fused-prescan gate matches the selection's engage condition
-/// exactly — a prescan below this dimension would never be consumed.
-constexpr std::size_t kTopKPrefilterMinDim = 4096;
-
-/// Survivor cap of the hinted threshold scan for a depth-k selection. The
-/// fused accumulator prescan (GradientAccumulator::add_scan) must use the
-/// same cap so its bail-out point is bit-identical to hint_filter's.
-constexpr std::size_t topk_hint_cap(std::size_t k) { return 8 * k + 64; }
-
 /// Is a persisted threshold hint produced for a depth-`hint_k` selection
 /// still worth seeding a depth-`k` scan with? Within a 2× band either way the
 /// hinted scan usually survives (the cap leaves 8× headroom and a too-deep
@@ -58,26 +47,12 @@ constexpr bool hint_compatible(std::size_t hint_k, std::size_t k) {
 
 /// Compact per-client selection hint: the k-th |value| of the client's last
 /// selection and the k that produced it. This is the only part of a
-/// TopKWorkspace whose content affects future selections, so sharded fleets
-/// persist one ClientHint per client (8 bytes) and share full workspaces per
-/// thread slot instead of holding N of them.
+/// TopKWorkspace whose content affects future selections, so the round
+/// pipeline persists one ClientHint per client (8 bytes) and shares full
+/// workspaces per thread slot instead of holding N of them.
 struct ClientHint {
   float threshold = 0.0f;
   std::uint32_t k = 0;
-};
-
-/// Result of a client-side fused prescan (accumulate + summarize + threshold
-/// scan in one pass, GradientAccumulator::add_scan). `keys` are the
-/// survivors of |v| >= threshold in ascending index order, capped at
-/// topk_hint_cap(k); `complete` is false when the scan bailed at the cap.
-/// select() consumes a view only when (threshold, k) still match the
-/// workspace hint it would have scanned with — making the fused path
-/// byte-identical to the separate hint_filter scan it replaces.
-struct PrescanView {
-  std::span<const std::uint64_t> keys;
-  float threshold = 0.0f;
-  std::uint32_t k = 0;
-  bool complete = false;
 };
 
 /// Reusable scratch for the quickselect path. One workspace per caller
@@ -95,8 +70,9 @@ struct TopKWorkspace {
   std::vector<std::uint64_t> key_scratch;  // radix-sort ping-pong buffer
 
   /// The k-th |value| of a recent selection through this workspace, and the
-  /// k that produced it. Since the per-client workspaces persist across
-  /// rounds, this seeds the next call's prefilter threshold directly —
+  /// k that produced it. When it persists across rounds (directly, or through
+  /// the per-client ClientHint store of top_k_uploads_fleet), this seeds the
+  /// next call's prefilter threshold directly —
   /// skipping the sampling pass of the dense O(D) scan (ROADMAP:
   /// prefilter-only first pass for the server round). The hint is replaced
   /// by an at-least-as-deep selection (k >= hint_k) or after it failed to
@@ -126,58 +102,34 @@ void top_k_entries(std::span<const float> v, std::size_t k, TopKWorkspace& ws, S
 /// Chunk-aware variant: `chunk_max` is the per-chunk |v| upper-bound summary
 /// (GradientAccumulator::chunk_max; empty = no summaries, dense scans). Must
 /// cover v exactly: chunk_max.size() == accumulator_chunks(v.size()).
-/// `pre` optionally supplies a fused prescan (see PrescanView); nullptr or a
-/// stale view (threshold/k mismatch) runs the normal hinted scan.
 void top_k_entries(std::span<const float> v, std::span<const float> chunk_max, std::size_t k,
-                   TopKWorkspace& ws, SparseVector& out, const PrescanView* pre = nullptr);
+                   TopKWorkspace& ws, SparseVector& out);
 
 /// Same selection, indices only.
 void top_k_indices(std::span<const float> v, std::size_t k, TopKWorkspace& ws,
                    std::vector<std::int32_t>& out);
 
 /// Computes every client's top-k upload in one call: uploads[s] receives
-/// top_k_entries(vecs[s], k) using workspaces[ids[s]] (`ids` empty = slot
-/// identity; both vectors grow as needed and keep their capacity across
-/// rounds). `chunk_maxes` is slot-aligned with vecs (empty vector = no
-/// summaries anywhere; individual empty spans opt single clients out).
-/// Keying workspaces by stable client id keeps each threshold hint
-/// with its own client's accumulator when partial participation or
-/// availability churn reorders the slots. When a thread pool is registered
-/// via tensor::set_parallel_pool and the total work is large enough, the N
-/// independent selections run across the pool — each slot has its own
-/// workspace and output slot, so the result is byte-identical to the serial
-/// loop regardless of scheduling.
-/// `prescan` optionally supplies slot-aligned fused prescan views (nullptr =
-/// none; stale views are ignored per slot).
-void top_k_uploads(const std::vector<std::span<const float>>& vecs,
-                   const std::vector<std::span<const float>>& chunk_maxes, std::size_t k,
-                   std::span<const std::size_t> ids, std::vector<TopKWorkspace>& workspaces,
-                   std::vector<SparseVector>& uploads,
-                   const std::vector<PrescanView>* prescan = nullptr);
-
-/// Fleet variant for sharded rounds: selections run through per-thread-slot
+/// top_k_entries(vecs[s], chunk_maxes[s], k). `chunk_maxes` is slot-aligned
+/// with vecs (empty vector = no summaries anywhere; individual empty spans
+/// opt single clients out). Selections run through per-thread-slot
 /// workspaces (one per ThreadPool slot, shared across clients) plus a compact
-/// per-client hint store, instead of one full workspace per client — at
-/// N=100k that is S workspaces + 8 bytes per client instead of N multi-KB
-/// workspaces. Byte-identical to the per-client-workspace path: a selection
-/// depends on workspace state only through (threshold_hint, hint_k), which is
-/// loaded from hints[ids[s]] before each select and stored back after.
-/// `hints` grows as needed and persists across rounds.
+/// per-client hint store, so a fleet of N clients costs S workspaces + 8
+/// bytes per client rather than N multi-KB workspaces. A selection depends on
+/// workspace state only through (threshold_hint, hint_k), which is loaded
+/// from hints[ids[s]] before each select and stored back after (`ids` empty =
+/// slot identity). Keying hints by stable client id keeps each threshold with
+/// its own client's accumulator when partial participation or availability
+/// churn reorders the slots. `hints` grows as needed and persists across
+/// rounds. When a thread pool is registered via tensor::set_parallel_pool and
+/// the total work is large enough, the N independent selections run across
+/// the pool; each slot has its own output and hint, so the result is
+/// byte-identical to the serial loop regardless of scheduling.
 void top_k_uploads_fleet(const std::vector<std::span<const float>>& vecs,
                          const std::vector<std::span<const float>>& chunk_maxes, std::size_t k,
                          std::span<const std::size_t> ids,
                          std::vector<TopKWorkspace>& slot_workspaces,
-                         std::vector<ClientHint>& hints, std::vector<SparseVector>& uploads,
-                         const std::vector<PrescanView>* prescan = nullptr);
-
-/// Dense convenience (no summaries).
-void top_k_uploads(const std::vector<std::span<const float>>& vecs, std::size_t k,
-                   std::span<const std::size_t> ids, std::vector<TopKWorkspace>& workspaces,
-                   std::vector<SparseVector>& uploads);
-
-/// Slot-identity convenience (ids = {}).
-void top_k_uploads(const std::vector<std::span<const float>>& vecs, std::size_t k,
-                   std::vector<TopKWorkspace>& workspaces, std::vector<SparseVector>& uploads);
+                         std::vector<ClientHint>& hints, std::vector<SparseVector>& uploads);
 
 /// Allocating conveniences over the scratch API (cold paths and tests).
 std::vector<std::int32_t> top_k_indices(std::span<const float> v, std::size_t k);
@@ -192,21 +144,5 @@ SparseVector top_k_entries_heap(std::span<const float> v, std::size_t k);
 /// Keys are assumed unique; `scratch` is the radix ping-pong buffer.
 /// Exported for the sharded engine's per-shard candidate runs.
 void sort_keys_desc(std::vector<std::uint64_t>& keys, std::vector<std::uint64_t>& scratch);
-
-/// Appends the key of every entry in [begin, end) with |v[i]| >= threshold,
-/// in ascending index order (indices are global, not range-relative).
-/// Returns false — leaving keys valid but incomplete — as soon as a survivor
-/// would exceed `cap`. This is the building block the fused accumulator pass
-/// shares with the hinted selection scan.
-bool threshold_scan_range_append(const float* v, std::size_t begin, std::size_t end,
-                                 float threshold, std::size_t cap,
-                                 std::vector<std::uint64_t>& keys);
-
-/// Chunk-pruned full-vector threshold scan (the non-fused reference for the
-/// add_scan property tests): appends keys of survivors in ascending index
-/// order, pruning chunks whose `chunk_max` bound is below the threshold.
-bool threshold_scan_append(std::span<const float> v, std::span<const float> chunk_max,
-                           float threshold, std::size_t cap,
-                           std::vector<std::uint64_t>& keys);
 
 }  // namespace fedsparse::sparsify

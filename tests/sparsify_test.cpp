@@ -167,34 +167,36 @@ TEST(TopK, ThresholdHintStaysExactAcrossMutatingRounds) {
   EXPECT_EQ(got, top_k_entries_heap(vs, 128));
 }
 
-// Workspaces (and so threshold hints) are keyed by stable client id, not by
-// participant slot: a churned round must not hand client 7's hint to client 2.
+// Threshold hints are keyed by stable client id, not by participant slot: a
+// churned round must not hand client 7's hint to client 2.
 TEST(TopK, UploadsKeyWorkspacesByClientId) {
   util::Rng rng(117);
   const std::size_t d = 8192, k = 64;
   std::vector<float> a = random_vector(d, rng), b = a;
   for (auto& x : b) x *= 100.0f;  // same landscape, 100x the magnitudes
   std::vector<TopKWorkspace> ws;
+  std::vector<ClientHint> hints;
   std::vector<SparseVector> uploads;
   const std::size_t ids_ab[] = {2, 7};
-  top_k_uploads({{a.data(), d}, {b.data(), d}}, k, {ids_ab, 2}, ws, uploads);
-  ASSERT_GE(ws.size(), 8u);
-  const float hint_a = ws[2].threshold_hint;
-  const float hint_b = ws[7].threshold_hint;
+  top_k_uploads_fleet({{a.data(), d}, {b.data(), d}}, {}, k, {ids_ab, 2}, ws, hints, uploads);
+  ASSERT_GE(hints.size(), 8u);
+  const float hint_a = hints[2].threshold;
+  const float hint_b = hints[7].threshold;
   EXPECT_GT(hint_a, 0.0f);
   EXPECT_FLOAT_EQ(hint_b, 100.0f * hint_a);  // each hint tracks its client
-  EXPECT_EQ(ws[0].threshold_hint, 0.0f);       // untouched slots stay empty
+  EXPECT_EQ(hints[0].threshold, 0.0f);         // untouched slots stay empty
   // Next round only client 7 participates, in slot 0: it must reuse ITS hint
   // and stay exact.
   std::vector<SparseVector> uploads2;
   const std::size_t ids_b[] = {7};
-  top_k_uploads({{b.data(), d}}, k, {ids_b, 1}, ws, uploads2);
+  top_k_uploads_fleet({{b.data(), d}}, {}, k, {ids_b, 1}, ws, hints, uploads2);
   EXPECT_EQ(uploads2[0], top_k_entries_heap({b.data(), d}, k));
-  EXPECT_EQ(ws[2].threshold_hint, hint_a);  // absent client's hint untouched
+  EXPECT_EQ(hints[2].threshold, hint_a);  // absent client's hint untouched
 }
 
-// top_k_uploads with a registered pool must reproduce the serial loop byte
-// for byte: each client owns its workspace and output slot.
+// top_k_uploads_fleet with a registered pool must reproduce the serial loop
+// byte for byte: slot workspaces are scratch, each client owns its hint and
+// output slot.
 TEST(TopK, PooledUploadsMatchSerial) {
   util::Rng rng(111);
   const std::size_t n = 8, d = 32768, k = 100;
@@ -204,16 +206,21 @@ TEST(TopK, PooledUploadsMatchSerial) {
   for (const auto& v : vecs) views.push_back({v.data(), v.size()});
 
   std::vector<TopKWorkspace> ws_serial, ws_pooled;
+  std::vector<ClientHint> hints_serial, hints_pooled;
   std::vector<SparseVector> serial, pooled;
-  top_k_uploads(views, k, ws_serial, serial);
+  top_k_uploads_fleet(views, {}, k, {}, ws_serial, hints_serial, serial);
 
   util::ThreadPool pool(4);
   tensor::set_parallel_pool(&pool);
-  top_k_uploads(views, k, ws_pooled, pooled);
+  top_k_uploads_fleet(views, {}, k, {}, ws_pooled, hints_pooled, pooled);
   tensor::set_parallel_pool(nullptr);
 
   ASSERT_EQ(serial.size(), pooled.size());
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(serial[i], pooled[i]) << "client " << i;
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(serial[i], pooled[i]) << "client " << i;
+    EXPECT_EQ(hints_serial[i].threshold, hints_pooled[i].threshold) << "client " << i;
+    EXPECT_EQ(hints_serial[i].k, hints_pooled[i].k) << "client " << i;
+  }
 }
 
 TEST(TopK, ScratchApiStopsAllocatingAfterWarmup) {
@@ -435,92 +442,6 @@ TEST(Accumulator, ChunkSummariesStayConsistentUnderInterleavedAddReset) {
   acc.reset_all();
   check("after reset_all", /*bounds_exact=*/true);
   EXPECT_EQ(acc.dirty_chunks(), 0u);
-}
-
-// Fuzz the fused add_scan against the non-fused reference: two accumulators
-// driven through the same randomized interleaving of adds, sparse adds,
-// partial resets and full resets — one taking the fused accumulate+scan
-// path, one taking plain add() with the reference threshold_scan_append on
-// its values and bounds. At every step the fused pass must produce the exact
-// key sequence, cap bail-out point and return value of the reference, both
-// stores must match a dense shadow model bit-for-bit, and the chunk bounds
-// must stay valid upper bounds (zero only for all-zero chunks).
-TEST(Accumulator, FuzzedAddScanMatchesReferenceScanAndShadow) {
-  util::Rng rng(47);
-  for (const std::size_t dim :
-       {std::size_t{65}, std::size_t{1000}, std::size_t{4096}}) {
-    GradientAccumulator fused(dim);
-    GradientAccumulator ref(dim);
-    std::vector<float> shadow(dim, 0.0f);
-    std::vector<float> grad(dim);
-    std::vector<std::int32_t> resets;
-    std::vector<std::uint64_t> fused_keys;
-    std::vector<std::uint64_t> ref_keys;
-    for (int step = 0; step < 60; ++step) {
-      const int op = static_cast<int>(rng.uniform_u64(8));
-      if (op < 5) {
-        // Scan-add (dense or chunk-sparse) with a random threshold drawn from
-        // the live magnitudes and a random cap, so both the pruned-scan and
-        // the bail-out paths get exercised.
-        const bool sparse = op & 1;
-        for (std::size_t i = 0; i < dim; ++i) {
-          const bool zero = sparse && (i / kAccumulatorChunk) % 3 != 0;
-          grad[i] = zero ? 0.0f : static_cast<float>(rng.normal());
-        }
-        float threshold =
-            std::fabs(shadow[rng.uniform_u64(dim)] + grad[rng.uniform_u64(dim)]);
-        if (!(threshold > 0.0f)) threshold = 0.5f;
-        const std::size_t cap = rng.uniform_u64(dim) + 1;
-        fused_keys.clear();
-        ref_keys.clear();
-        const bool fused_ok =
-            fused.add_scan({grad.data(), grad.size()}, threshold, cap, fused_keys);
-        ref.add({grad.data(), grad.size()});
-        const bool ref_ok =
-            threshold_scan_append(ref.value(), ref.chunk_max(), threshold, cap, ref_keys);
-        for (std::size_t i = 0; i < dim; ++i) shadow[i] += grad[i];
-        ASSERT_EQ(fused_ok, ref_ok) << "dim=" << dim << " step=" << step;
-        ASSERT_EQ(fused_keys, ref_keys) << "dim=" << dim << " step=" << step;
-      } else if (op < 7) {
-        resets.clear();
-        const std::size_t k = rng.uniform_u64(dim / 4) + 1;
-        for (std::size_t j = 0; j < k; ++j) {
-          resets.push_back(static_cast<std::int32_t>(rng.uniform_u64(dim)));
-        }
-        fused.reset_indices({resets.data(), resets.size()});
-        ref.reset_indices({resets.data(), resets.size()});
-        for (const std::int32_t idx : resets) shadow[static_cast<std::size_t>(idx)] = 0.0f;
-      } else {
-        fused.reset_all();
-        ref.reset_all();
-        std::fill(shadow.begin(), shadow.end(), 0.0f);
-      }
-      // Both stores track the shadow exactly, and the summaries stay valid.
-      for (std::size_t i = 0; i < dim; ++i) {
-        ASSERT_EQ(fused.value()[i], shadow[i]) << "dim=" << dim << " step=" << step;
-        ASSERT_EQ(ref.value()[i], shadow[i]) << "dim=" << dim << " step=" << step;
-      }
-      const auto cm = fused.chunk_max();
-      ASSERT_EQ(cm.size(), accumulator_chunks(dim));
-      std::size_t dirty = 0;
-      for (std::size_t c = 0; c < cm.size(); ++c) {
-        float mx = 0.0f;
-        const std::size_t end = std::min(dim, (c + 1) * kAccumulatorChunk);
-        for (std::size_t i = c * kAccumulatorChunk; i < end; ++i) {
-          mx = std::max(mx, std::fabs(shadow[i]));
-        }
-        ASSERT_GE(cm[c], mx) << "dim=" << dim << " step=" << step << " chunk " << c;
-        if (cm[c] == 0.0f) ASSERT_EQ(mx, 0.0f) << "dim=" << dim << " chunk " << c;
-        dirty += cm[c] > 0.0f ? 1 : 0;
-      }
-      ASSERT_EQ(fused.dirty_chunks(), dirty) << "dim=" << dim << " step=" << step;
-      ASSERT_EQ(fused.chunk_max().size(), ref.chunk_max().size());
-      for (std::size_t c = 0; c < cm.size(); ++c) {
-        ASSERT_EQ(cm[c], ref.chunk_max()[c])  // fused summary == plain add's
-            << "dim=" << dim << " step=" << step << " chunk " << c;
-      }
-    }
-  }
 }
 
 // A NaN gradient entry (diverged run) must not fall out of the chunk bounds:
