@@ -13,6 +13,7 @@ Usage:
 import argparse
 import json
 import os
+import signal
 import sys
 import tempfile
 
@@ -169,4 +170,9 @@ def main():
 
 
 if __name__ == "__main__":
+    # Behave like any other Unix filter when the reader goes away early
+    # (`trace_summary.py ... | head`): die quietly of SIGPIPE instead of
+    # raising BrokenPipeError at the next print.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     main()
