@@ -235,6 +235,10 @@ struct MethodCase {
   double k;
 };
 
+// gtest names each case after its printed value; the default printer dumps
+// the struct's bytes, whose name pointer changes from build to build.
+void PrintTo(const MethodCase& c, std::ostream* os) { *os << c.name << " k=" << c.k; }
+
 class EveryMethodConverges : public ::testing::TestWithParam<MethodCase> {};
 
 TEST_P(EveryMethodConverges, LossDropsOnSeparableData) {

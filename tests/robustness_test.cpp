@@ -64,6 +64,12 @@ struct EdgeCase {
   std::size_t clients;
 };
 
+// gtest names each case after its printed value; the default printer dumps
+// the struct's bytes, whose method pointer changes from build to build.
+void PrintTo(const EdgeCase& c, std::ostream* os) {
+  *os << c.method << " k=" << c.k << " clients=" << c.clients;
+}
+
 class DegenerateConfigs : public ::testing::TestWithParam<EdgeCase> {};
 
 TEST_P(DegenerateConfigs, RunsToCompletionWithFiniteLoss) {
