@@ -1,4 +1,4 @@
-// Golden outcome digests for the top-k round engine.
+// Golden outcome digests for the round engine.
 //
 // Each cell of the matrix
 //
@@ -6,13 +6,24 @@
 //     × {clean, faults + screening, 10% sign-flip + trimmed mean}
 //     × {fixed k, Algorithm 3 with the k' probe}
 //
-// plus the churn / partial-participation run runs a small simulation and
-// folds into one FNV-1a digest: every flush's fl::outcome_digest (update,
-// resets, contributions), the k_used sequence, the per-round loss bits (at
-// float precision, see run_cell) and the per-client uplink totals. The expected values below are frozen: every
-// cell must reproduce them at threads 1/2/8 × shards auto/1/8, so shard
-// count and thread count stay pure scheduling decisions, and a refactor of
-// the selection or round bodies that moves a single bit fails here.
+// plus the churn / partial-participation run, and the clean synchronized
+// runs of the non-top-k baselines (periodic-k, send-all, FedAvg, with churn
+// runs for periodic-k and FedAvg), runs a small simulation and folds into
+// one FNV-1a digest: every flush's fl::outcome_digest (update, resets,
+// contributions), the k_used sequence, the per-round loss bits (at float
+// precision, see run_cell) and the per-client uplink totals. The expected
+// values below are frozen: every cell must reproduce them at threads 1/2/8 ×
+// shards auto/1/8, so shard count and thread count stay pure scheduling
+// decisions, and a refactor of the selection, round or apply bodies that
+// moves a single bit fails here.
+//
+// The baseline cells pin the weight-apply paths: periodic-k's sparse and
+// send-all's dense update on the shared store, and FedAvg's local SGD on
+// per-client weights. fedavg_sync_clean_fixedk never reaches its
+// aggregation period (⌊D/2k⌋ = 50 rounds) in 12 rounds, so it pins local
+// steps and the averaged evaluation model; fedavg_churn_partial_fixedk
+// (period 8) pins the weight-average copy, which reaches online clients
+// only.
 //
 // The model is wide enough (D = 6010) that client selection runs the
 // threshold-hint scan and the sampled prefilter (both engage from
@@ -247,6 +258,12 @@ const Cell kCells[] = {
     {"uni_async_signflip_fixedk",  "unidirectional_topk", Mode::kAsync, Defense::kSignFlip, Control::kFixedK, false, 0xe44b93b8eb189dc7ull},
     {"uni_async_signflip_alg3",    "unidirectional_topk", Mode::kAsync, Defense::kSignFlip, Control::kAlg3,   false, 0xdbab361e4d5905a3ull},
     {"fab_churn_partial_fixedk",   "fab_topk", Mode::kSync,  Defense::kClean,    Control::kFixedK, true,  0xe64c8c8d4f6fd3f9ull},
+    {"periodic_sync_clean_fixedk",    "periodic", Mode::kSync,  Defense::kClean,    Control::kFixedK, false, 0x721b88396163fcc8ull},
+    {"periodic_sync_clean_alg3",      "periodic", Mode::kSync,  Defense::kClean,    Control::kAlg3,   false, 0x5520f2a080fc7e72ull},
+    {"sendall_sync_clean_fixedk",     "send_all", Mode::kSync,  Defense::kClean,    Control::kFixedK, false, 0xdac9ebceb0d7eaa0ull},
+    {"fedavg_sync_clean_fixedk",      "fedavg",   Mode::kSync,  Defense::kClean,    Control::kFixedK, false, 0x5d5fe76759113060ull},
+    {"fedavg_churn_partial_fixedk",   "fedavg",   Mode::kSync,  Defense::kClean,    Control::kFixedK, true,  0x1fd7e73d15254f9dull},
+    {"periodic_churn_partial_fixedk", "periodic", Mode::kSync,  Defense::kClean,    Control::kFixedK, true,  0x878b990955c30c3cull},
     // clang-format on
 };
 
