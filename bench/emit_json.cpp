@@ -376,15 +376,16 @@ void bench_fab_round(std::vector<KernelResult>& out) {
   }));
 }
 
-// --- shared-replica round engine: server round + apply-path scaling ---------
+// --- shared weight store: server round + apply-path scaling -----------------
 //
 // The synchronized methods hold one global weight vector, so the broadcast
-// update is applied ONCE in O(k); the per-replica reference engine applies
-// the identical update to n separate vectors. The sweep pins the claim that
-// round time stops scaling with n on the apply path (speedup vs per-replica
-// ~ n, which is machine-portable and CI-gateable), and the printed peak-RSS
-// trail shows the per-replica side paying O(n·D) weight memory the shared
-// store never allocates.
+// update is applied ONCE in O(k). The sweep's per-replica side applies the
+// identical update to n separate vectors, the cost a weight-copy-per-client
+// layout would pay; it is modelled here, not an engine mode. The sweep pins
+// the claim that apply time stops scaling with n on the shared store
+// (speedup vs per-replica ~ n, which is machine-portable and CI-gateable),
+// and the printed peak-RSS trail shows the per-replica side paying O(n·D)
+// weight memory the shared store never allocates.
 
 void bench_round_engine(std::vector<KernelResult>& out) {
   const std::size_t d = 1u << 17;   // 128k
@@ -394,9 +395,9 @@ void bench_round_engine(std::vector<KernelResult>& out) {
   // Apply-path scaling sweep, N ∈ {10, 100, 1000}. ru_maxrss is monotone
   // over the process lifetime, so the sweep runs before the ~52 MB
   // server_round block below, ALL shared points run before ANY per-replica
-  // point (shared readings never include a freed reference-engine
-  // allocation), and the per-replica points run in ascending n (each point's
-  // peak is dominated by its own replicas).
+  // point (shared readings never include a freed replica allocation), and
+  // the per-replica points run in ascending n (each point's peak is
+  // dominated by its own replicas).
   sparsify::SparseVector update;
   update.reserve(k);
   util::Rng urng(99);

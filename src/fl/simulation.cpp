@@ -58,22 +58,11 @@ Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
   resource_.weight_energy = cfg.weight_energy;
   resource_.weight_money = cfg.weight_money;
 
-  // Network & device model. The legacy compute_time_spread knob folds into
-  // the client profiles (same RNG stream as before), multiplying on top of
-  // any explicitly configured profile.
-  NetworkConfig net_cfg = cfg.network;
-  if (cfg.compute_time_spread > 0.0) {
-    if (net_cfg.profiles.empty()) net_cfg.profiles.assign(clients_.size(), ClientProfile{});
-    util::Rng het_rng(cfg.seed ^ 0x4E7E20ULL);
-    for (auto& profile : net_cfg.profiles) {
-      profile.compute_multiplier *= std::exp(het_rng.normal(0.0, cfg.compute_time_spread));
-    }
-  }
-  network_ = NetworkModel(timing_, std::move(net_cfg), clients_.size(), cfg.seed);
+  network_ = NetworkModel(timing_, cfg.network, clients_.size(), cfg.seed);
 
   // Weight layout: the shared store always holds w(m) for synchronized
-  // methods; FedAvg-style methods (diverging local weights) and the
-  // per-replica reference engine give every client its own vector.
+  // methods; FedAvg-style methods (diverging local weights) give every
+  // client its own vector.
   fedavg_style_ = method_->local_update_style();
   if (cfg_.aggregation == AggregationMode::kBufferedAsync) {
     if (fedavg_style_) {
@@ -90,9 +79,8 @@ Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
   }
   pending_.assign(clients_.size(), 0);
   pending_round_.assign(clients_.size(), 0);
-  per_client_weights_ = fedavg_style_ || cfg.replica_mode == ReplicaMode::kPerReplica;
   shared_weights_.assign(master->weights().begin(), master->weights().end());
-  if (per_client_weights_) {
+  if (fedavg_style_) {
     for (auto& c : clients_) c->allocate_weights(master->weights());
   }
   evaluator_.set_weights(master->weights());
@@ -137,7 +125,7 @@ Simulation::Simulation(SimulationConfig cfg, data::FederatedDataset dataset,
   util::log_info() << "Simulation: " << clients_.size() << " clients, D=" << dim_
                    << ", method=" << method_->name() << ", controller=" << controller_->name()
                    << ", beta=" << cfg.comm_time << ", engine="
-                   << (per_client_weights_ ? "per-replica" : "shared") << " ("
+                   << (fedavg_style_ ? "per-client" : "shared") << " ("
                    << workspaces_.size() << " workspaces, " << eff_shards << " shards)";
 }
 
@@ -149,13 +137,13 @@ Simulation::~Simulation() {
 
 std::span<const float> Simulation::client_weights(std::size_t i) const {
   const Client& c = *clients_.at(i);
-  if (c.owns_weights()) return c.weights();
+  if (fedavg_style_) return c.weights();
   return {shared_weights_.data(), shared_weights_.size()};
 }
 
 nn::Sequential& Simulation::bound_workspace(std::size_t i) {
   nn::Sequential& ws = *workspaces_[pool_.current_slot()];
-  if (per_client_weights_) {
+  if (fedavg_style_) {
     ws.bind_weights(clients_[i]->weights());
   } else {
     ws.bind_weights({shared_weights_.data(), shared_weights_.size()});
@@ -229,18 +217,18 @@ const sparsify::RoundInput& Simulation::make_round_input(
   weight_storage_.clear();
   double total = 0.0;
   for (const std::size_t i : selected) total += data_weights_[i];
-  // Tiered round view: the methods see each accumulator's chunk summaries
-  // next to its values and prune their selection scans on them. FedAvg-style
-  // inputs are client weights — no accumulator, no summaries.
-  const bool tiered = cfg_.tiered_accumulators && !fedavg_style_;
+  // The methods see each accumulator's chunk summaries next to its values
+  // and prune their selection scans on them. FedAvg-style inputs are client
+  // weights — no accumulator, no summaries.
   for (const std::size_t i : selected) {
     weight_storage_.push_back(total > 0.0 ? data_weights_[i] / total
                                           : 1.0 / static_cast<double>(selected.size()));
-    round_input_.client_vectors.push_back(fedavg_style_
-                                              ? std::span<const float>(clients_[i]->weights())
-                                              : clients_[i]->accumulator().value());
-    if (tiered) {
-      round_input_.client_chunk_max.push_back(clients_[i]->accumulator().chunk_max());
+    if (fedavg_style_) {
+      round_input_.client_vectors.push_back(clients_[i]->weights());
+    } else {
+      const sparsify::GradientAccumulator& acc = clients_[i]->accumulator();
+      round_input_.client_vectors.push_back(acc.value());
+      round_input_.client_chunk_max.push_back(acc.chunk_max());
     }
   }
   // Buffered-async flushes discount stale contributions before the methods
@@ -269,10 +257,7 @@ void Simulation::apply_reset(const sparsify::RoundOutcome& outcome, std::size_t 
 }
 
 std::span<const float> Simulation::global_weights() {
-  if (!fedavg_style_) {
-    if (!per_client_weights_) return {shared_weights_.data(), shared_weights_.size()};
-    return clients_[0]->weights();
-  }
+  if (!fedavg_style_) return {shared_weights_.data(), shared_weights_.size()};
   // FedAvg between synchronizations: the virtual global model is the
   // data-weighted average of the local weights, computed over disjoint index
   // ranges across the pool. Per coordinate the clients accumulate in
@@ -361,7 +346,7 @@ void Simulation::stage_schedule(RoundContext& ctx) {
   // like sampled ones. The scan is an early-exit walk over chunk summaries:
   // O(chunks) per unsampled online client, nothing when disabled.
   triggered_ids_.clear();
-  if (async && cfg_.async.trigger_scale > 0.0 && cfg_.tiered_accumulators && !fedavg_style_) {
+  if (async && cfg_.async.trigger_scale > 0.0) {
     const auto scale = static_cast<float>(cfg_.async.trigger_scale);
     std::size_t next = 0;
     for (const std::size_t i : network_.online_ids()) {
@@ -628,52 +613,33 @@ void Simulation::stage_probe(RoundContext& ctx) {
 void Simulation::stage_apply(RoundContext& ctx, SimulationResult& res) {
   const std::vector<std::size_t>& flush = *ctx.flush;
   const sparsify::RoundOutcome& outcome = ctx.outcome;
-  const std::size_t n = clients_.size();
 
   // (B)/(C) Apply the global update and consume transmitted accumulator
   // entries. An empty round exchanged nothing and touches nobody. Resets run
   // only for flushed slots, so a deferred client's accumulator keeps every
   // gradient until the flush that folds it — buffered mass cannot be lost.
-  if (!flush.empty() && per_client_weights_) {
-    // FedAvg / per-replica reference engine: every client's own vector is
-    // touched in one fused parallel pass (apply + reset per client).
-    part_slot_.assign(n, -1);
-    for (std::size_t s = 0; s < flush.size(); ++s) {
-      part_slot_[flush[s]] = static_cast<std::int32_t>(s);
-    }
-    // kLocalOnly with a local-update method means no apply AND no resets —
-    // skip the barrier entirely instead of forking n no-op tasks.
-    const bool round_touches_clients =
-        outcome.kind != sparsify::RoundOutcome::Kind::kLocalOnly || !fedavg_style_;
-    if (round_touches_clients) {
-      pool_.parallel_for(
-          n,
-          [&](std::size_t i) {
-            switch (outcome.kind) {
-              case sparsify::RoundOutcome::Kind::kSparseUpdate:
-                clients_[i]->apply_sparse_update(outcome.update, cfg_.lr);
-                break;
-              case sparsify::RoundOutcome::Kind::kDenseUpdate:
-                clients_[i]->apply_dense_update(outcome.dense, cfg_.lr);
-                break;
-              case sparsify::RoundOutcome::Kind::kWeightAverage:
-                // An offline FedAvg client misses the synchronization and
-                // keeps its diverging local weights until it rejoins.
-                // (Synchronized methods never emit kWeightAverage; their
-                // per-replica layout must mirror the shared store exactly.)
-                if (!fedavg_style_ || network_.available(i)) {
-                  clients_[i]->set_weights({outcome.dense.data(), outcome.dense.size()});
-                }
-                break;
-              case sparsify::RoundOutcome::Kind::kLocalOnly:
-                break;
-            }
-            const std::int32_t s = part_slot_[i];
-            if (!fedavg_style_ && s >= 0) {
-              apply_reset(outcome, i, static_cast<std::size_t>(s));
-            }
-          },
-          /*grain=*/1);
+  if (!flush.empty() && fedavg_style_) {
+    // FedAvg: clients own diverging local weights and have no accumulators,
+    // so the server's only write is the synchronization. An offline client
+    // misses it and keeps its local weights until it rejoins.
+    switch (outcome.kind) {
+      case sparsify::RoundOutcome::Kind::kWeightAverage: {
+        const auto online = network_.online_ids();
+        pool_.parallel_for(
+            online.size(),
+            [&](std::size_t s) {
+              clients_[online[s]]->set_weights({outcome.dense.data(), outcome.dense.size()});
+            },
+            /*grain=*/1);
+        break;
+      }
+      case sparsify::RoundOutcome::Kind::kLocalOnly:
+        break;
+      case sparsify::RoundOutcome::Kind::kSparseUpdate:
+      case sparsify::RoundOutcome::Kind::kDenseUpdate:
+        throw std::logic_error(
+            "Simulation: a local-update method emitted a gradient update; "
+            "Method::local_update_style() methods emit only kWeightAverage or kLocalOnly");
     }
   } else if (!flush.empty()) {
     // Shared store: the synchronized update is applied ONCE — O(k) sparse,
@@ -792,47 +758,33 @@ void Simulation::stage_account(RoundContext& ctx, SimulationResult& res, double&
     probe_prev_.resize(flush.size());
     probe_cur_.resize(flush.size());
     probe_shift_.resize(flush.size());
-    if (per_client_weights_) {
+    pool_.parallel_for(
+        flush.size(),
+        [&](std::size_t s) {
+          Client& c = *clients_[flush[s]];
+          probe_prev_[s] = c.probe_loss_prev();
+          probe_cur_[s] = c.probe_loss_now(bound_workspace(flush[s]));
+        },
+        /*grain=*/1);
+    if (ctx.want_probe) {
+      // Shift the shared store to w'(m) once, let every participant read it
+      // concurrently, then restore the saved values exactly (adding and
+      // subtracting the same delta is not bitwise reversible).
+      const std::span<float> sw{shared_weights_.data(), shared_weights_.size()};
+      shift_saved_.resize(ctx.probe_diff.size());
+      for (std::size_t i = 0; i < ctx.probe_diff.size(); ++i) {
+        const auto idx = static_cast<std::size_t>(ctx.probe_diff[i].index);
+        shift_saved_[i] = sw[idx];
+        sw[idx] += cfg_.lr * ctx.probe_diff[i].value;
+      }
       pool_.parallel_for(
           flush.size(),
           [&](std::size_t s) {
-            Client& c = *clients_[flush[s]];
-            nn::Sequential& ws = bound_workspace(flush[s]);
-            probe_prev_[s] = c.probe_loss_prev();
-            probe_cur_[s] = c.probe_loss_now(ws);
-            if (ctx.want_probe) probe_shift_[s] = c.probe_loss_shifted(ws, ctx.probe_diff, cfg_.lr);
+            probe_shift_[s] = clients_[flush[s]]->probe_loss_now(bound_workspace(flush[s]));
           },
           /*grain=*/1);
-    } else {
-      pool_.parallel_for(
-          flush.size(),
-          [&](std::size_t s) {
-            Client& c = *clients_[flush[s]];
-            probe_prev_[s] = c.probe_loss_prev();
-            probe_cur_[s] = c.probe_loss_now(bound_workspace(flush[s]));
-          },
-          /*grain=*/1);
-      if (ctx.want_probe) {
-        // Shift the shared store to w'(m) once, let every participant read
-        // it concurrently, then restore the saved values exactly — the
-        // same save/evaluate/restore a per-replica client performs, done
-        // once instead of n times.
-        const std::span<float> sw{shared_weights_.data(), shared_weights_.size()};
-        shift_saved_.resize(ctx.probe_diff.size());
-        for (std::size_t i = 0; i < ctx.probe_diff.size(); ++i) {
-          const auto idx = static_cast<std::size_t>(ctx.probe_diff[i].index);
-          shift_saved_[i] = sw[idx];
-          sw[idx] += cfg_.lr * ctx.probe_diff[i].value;
-        }
-        pool_.parallel_for(
-            flush.size(),
-            [&](std::size_t s) {
-              probe_shift_[s] = clients_[flush[s]]->probe_loss_now(bound_workspace(flush[s]));
-            },
-            /*grain=*/1);
-        for (std::size_t i = 0; i < ctx.probe_diff.size(); ++i) {
-          sw[static_cast<std::size_t>(ctx.probe_diff[i].index)] = shift_saved_[i];
-        }
+      for (std::size_t i = 0; i < ctx.probe_diff.size(); ++i) {
+        sw[static_cast<std::size_t>(ctx.probe_diff[i].index)] = shift_saved_[i];
       }
     }
     fb.loss_prev = util::mean_of(probe_prev_);

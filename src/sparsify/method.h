@@ -150,7 +150,11 @@ class Method {
   virtual std::string name() const = 0;
 
   /// FedAvg-style methods let clients run local SGD between aggregations and
-  /// receive client *weights* rather than accumulated gradients.
+  /// receive client *weights* rather than accumulated gradients. Such a
+  /// method's round() emits only RoundOutcome::Kind::kWeightAverage (a
+  /// synchronization, copied to every online client) or kLocalOnly (no
+  /// exchange); fl::Simulation throws std::logic_error on any other kind,
+  /// since there is no shared weight store to apply a gradient update to.
   virtual bool local_update_style() const { return false; }
 
   /// Executes the server side of round `in.round` with sparsity degree k

@@ -1,14 +1,17 @@
-// Shared-replica round engine tests: the shared global weight store +
-// per-thread workspace pool must be byte-identical to the per-replica
-// reference engine (same RNG splits, same RoundOutcomes, same loss curves),
-// deterministic across thread counts, and actually free of per-client model
-// replicas.
+// Round engine tests: the shared global weight store + per-thread workspace
+// pool must be deterministic across thread and shard counts and actually free
+// of per-client model replicas; FedAvg's per-client weights must follow the
+// synchronization contract. Byte-identity against frozen whole-run values
+// lives in tests/golden_digest_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "data/synthetic.h"
+#include "fl/replay.h"
 #include "fl/simulation.h"
 #include "nn/models.h"
 #include "online/extended_sign_ogd.h"
@@ -38,7 +41,7 @@ data::SyntheticConfig tiny_dataset(std::uint64_t seed = 1) {
 
 nn::ModelFactory tiny_model() { return nn::mlp(16, {12}, 4); }
 
-SimulationConfig engine_sim(ReplicaMode mode, std::size_t threads = 2) {
+SimulationConfig engine_sim(std::size_t threads = 2) {
   SimulationConfig cfg;
   cfg.lr = 0.05f;
   cfg.batch = 8;
@@ -49,7 +52,6 @@ SimulationConfig engine_sim(ReplicaMode mode, std::size_t threads = 2) {
   cfg.eval_test_samples = 0;
   cfg.threads = threads;
   cfg.seed = 7;
-  cfg.replica_mode = mode;
   return cfg;
 }
 
@@ -79,7 +81,7 @@ SimulationResult run_adaptive(const std::string& method, SimulationConfig cfg,
 
 // Bitwise comparison of everything a run records: round traces, loss curves,
 // k sequences, fairness totals. EXPECT_EQ on doubles is deliberate — the two
-// engines must produce the *same bits*, not merely close values.
+// runs must produce the *same bits*, not merely close values.
 void expect_identical(const SimulationResult& a, const SimulationResult& b,
                       const std::string& label) {
   ASSERT_EQ(a.records.size(), b.records.size()) << label;
@@ -108,127 +110,25 @@ void expect_identical(const SimulationResult& a, const SimulationResult& b,
   EXPECT_EQ(a.invalid_probe_rounds, b.invalid_probe_rounds) << label;
 }
 
-// ---------------- shared vs per-replica bitwise equivalence -----------------
-
-class SharedVsPerReplica : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(SharedVsPerReplica, FixedKTraceIsByteIdentical) {
-  const std::string method = GetParam();
-  const auto shared = run_fixed_k(method, 20.0, engine_sim(ReplicaMode::kShared));
-  const auto replica = run_fixed_k(method, 20.0, engine_sim(ReplicaMode::kPerReplica));
-  expect_identical(shared, replica, method);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSynchronizedMethods, SharedVsPerReplica,
-                         ::testing::Values("fab_topk", "fub_topk", "unidirectional_topk",
-                                           "periodic", "send_all"));
-
-TEST(SharedReplicaEngine, AdaptiveProbePathIsByteIdentical) {
-  // The adaptive controller exercises the k'-probe: per-replica shifts every
-  // client's own weights, the shared engine shifts its store once centrally.
-  // Identical bits required either way.
-  for (const char* method : {"fab_topk", "fub_topk", "unidirectional_topk"}) {
-    SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
-    cfg.max_rounds = 60;
-    const auto shared = run_adaptive(method, cfg);
-    cfg.replica_mode = ReplicaMode::kPerReplica;
-    const auto replica = run_adaptive(method, cfg);
-    expect_identical(shared, replica, method);
-  }
-}
-
-TEST(SharedReplicaEngine, PartialParticipationIsByteIdentical) {
-  // Reset lists arrive slot-indexed over the participant subset; both engines
-  // must map them onto the same clients.
-  SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
-  cfg.participation = 0.4;
-  const auto shared = run_fixed_k("fab_topk", 12.0, cfg);
-  cfg.replica_mode = ReplicaMode::kPerReplica;
-  const auto replica = run_fixed_k("fab_topk", 12.0, cfg);
-  expect_identical(shared, replica, "fab_topk/participation=0.4");
-}
-
-TEST(SharedReplicaEngine, FedAvgPathIsByteIdenticalAcrossModes) {
-  // FedAvg clients own diverging weights in both modes (the workspace API is
-  // the same either way); the replica_mode knob must not change a bit.
-  const auto shared = run_fixed_k("fedavg", 20.0, engine_sim(ReplicaMode::kShared));
-  const auto replica = run_fixed_k("fedavg", 20.0, engine_sim(ReplicaMode::kPerReplica));
-  expect_identical(shared, replica, "fedavg");
-}
-
 // ---------------- workspace-reuse determinism across thread counts ----------
 
 TEST(SharedReplicaEngine, DeterministicAcrossThreadCounts) {
   // 1 / 2 / 8 threads mean 2 / 3 / 9 workspaces and entirely different
   // task-to-workspace assignments; every trace must still be byte-identical.
-  const auto t1 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 1));
-  const auto t2 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 2));
-  const auto t8 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 8));
+  const auto t1 = run_fixed_k("fab_topk", 20.0, engine_sim(1));
+  const auto t2 = run_fixed_k("fab_topk", 20.0, engine_sim(2));
+  const auto t8 = run_fixed_k("fab_topk", 20.0, engine_sim(8));
   expect_identical(t1, t2, "threads 1 vs 2");
   expect_identical(t1, t8, "threads 1 vs 8");
 }
 
 TEST(SharedReplicaEngine, AdaptiveDeterministicAcrossThreadCounts) {
-  SimulationConfig c1 = engine_sim(ReplicaMode::kShared, 1);
-  SimulationConfig c8 = engine_sim(ReplicaMode::kShared, 8);
+  SimulationConfig c1 = engine_sim(1);
+  SimulationConfig c8 = engine_sim(8);
   c1.max_rounds = c8.max_rounds = 50;
   const auto t1 = run_adaptive("fab_topk", c1);
   const auto t8 = run_adaptive("fab_topk", c8);
   expect_identical(t1, t8, "adaptive threads 1 vs 8");
-}
-
-// ---------------- tiered vs dense accumulator traversal ---------------------
-
-// The chunk-tiered round view (accumulator chunk summaries handed to the
-// methods, selection scans pruned) is a pure traversal-order optimization:
-// every trace it produces must be byte-identical to the dense path of the
-// same build, per method, across thread counts, and under churn.
-
-class TieredVsDense : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(TieredVsDense, FixedKTraceIsByteIdentical) {
-  const std::string method = GetParam();
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    SimulationConfig cfg = engine_sim(ReplicaMode::kShared, threads);
-    const auto tiered = run_fixed_k(method, 20.0, cfg);
-    cfg.tiered_accumulators = false;
-    const auto dense = run_fixed_k(method, 20.0, cfg);
-    expect_identical(tiered, dense, method + "/threads=" + std::to_string(threads));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllTopKMethods, TieredVsDense,
-                         ::testing::Values("fab_topk", "fub_topk", "unidirectional_topk",
-                                           "periodic", "send_all"));
-
-TEST(TieredVsDense, AdaptiveProbePathIsByteIdentical) {
-  // The k'-probe reruns selection through the same workspaces right after
-  // the real round — the hint interplay must not depend on the traversal.
-  SimulationConfig cfg = engine_sim(ReplicaMode::kShared);
-  cfg.max_rounds = 60;
-  const auto tiered = run_adaptive("fab_topk", cfg);
-  cfg.tiered_accumulators = false;
-  const auto dense = run_adaptive("fab_topk", cfg);
-  expect_identical(tiered, dense, "adaptive fab_topk tiered vs dense");
-}
-
-TEST(TieredVsDense, ChurnedRoundsAreByteIdentical) {
-  // Availability churn is where the tiered store earns its keep: offline
-  // clients keep accumulating without flushing, then rejoin with stale-high
-  // chunk bounds. Traces must still match the dense traversal bit for bit
-  // at every thread count.
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    SimulationConfig cfg = engine_sim(ReplicaMode::kShared, threads);
-    cfg.max_rounds = 50;
-    cfg.network.p_drop = 0.35;
-    cfg.network.p_recover = 0.3;
-    cfg.network.rate_jitter_sigma = 0.2;
-    cfg.participation = 0.7;
-    const auto tiered = run_fixed_k("fab_topk", 15.0, cfg);
-    cfg.tiered_accumulators = false;
-    const auto dense = run_fixed_k("fab_topk", 15.0, cfg);
-    expect_identical(tiered, dense, "churn/threads=" + std::to_string(threads));
-  }
 }
 
 // ---------------- sharded round engine ---------------------------------------
@@ -241,7 +141,7 @@ TEST(TieredVsDense, ChurnedRoundsAreByteIdentical) {
 // values.
 
 SimulationConfig sharded_sim(std::size_t shards, std::size_t threads = 2) {
-  SimulationConfig cfg = engine_sim(ReplicaMode::kShared, threads);
+  SimulationConfig cfg = engine_sim(threads);
   cfg.shards = shards;
   return cfg;
 }
@@ -293,9 +193,9 @@ TEST(ShardedEngine, ChurnAndPartialParticipationAreByteIdentical) {
 TEST(ShardedEngine, AutoShardSelectionIsDeterministicAcrossThreadCounts) {
   // shards = 0 (auto) tracks the pool size: 1 / 2 / 8 threads resolve to
   // 1 / 3 / 9 shards. Identical traces required regardless.
-  const auto t1 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 1));
-  const auto t2 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 2));
-  const auto t8 = run_fixed_k("fab_topk", 20.0, engine_sim(ReplicaMode::kShared, 8));
+  const auto t1 = run_fixed_k("fab_topk", 20.0, engine_sim(1));
+  const auto t2 = run_fixed_k("fab_topk", 20.0, engine_sim(2));
+  const auto t8 = run_fixed_k("fab_topk", 20.0, engine_sim(8));
   expect_identical(t1, t2, "auto shards, threads 1 vs 2");
   expect_identical(t1, t8, "auto shards, threads 1 vs 8");
 }
@@ -307,7 +207,7 @@ TEST(SharedReplicaEngine, SynchronizedClientsResolveToTheSharedStore) {
   auto factory = tiny_model();
   util::Rng probe(1);
   const std::size_t dim = factory(probe)->dim();
-  Simulation sim(engine_sim(ReplicaMode::kShared), std::move(dataset), factory,
+  Simulation sim(engine_sim(), std::move(dataset), factory,
                  sparsify::make_method("fab_topk", dim, 5),
                  std::make_unique<online::FixedK>(10.0));
   (void)sim.run();
@@ -318,24 +218,105 @@ TEST(SharedReplicaEngine, SynchronizedClientsResolveToTheSharedStore) {
   }
 }
 
-TEST(PerReplicaEngine, ClientsOwnDistinctButIdenticalWeights) {
-  // The reference engine keeps the paper's synchronization invariant the
-  // hard way: n separate vectors that must stay bitwise in lockstep.
+TEST(FedAvgEngine, SyncRoundReachesEveryOnlineClientAndNoOfflineOne) {
+  // FedAvg synchronizes every ⌊D/2k⌋ = ⌊256/30⌋ = 8 rounds, so this run ends
+  // on a synchronization. Under churn, every client online at that round —
+  // sampled or not — must hold exactly the data-weighted average; an offline
+  // client misses it and keeps its own diverged weights.
+  SimulationConfig cfg = engine_sim();
+  cfg.max_rounds = 8;
+  cfg.network.p_drop = 0.35;
+  cfg.network.p_recover = 0.3;
+  cfg.participation = 0.7;
   auto dataset = data::make_synthetic(tiny_dataset());
   auto factory = tiny_model();
   util::Rng probe(1);
   const std::size_t dim = factory(probe)->dim();
-  Simulation sim(engine_sim(ReplicaMode::kPerReplica), std::move(dataset), factory,
-                 sparsify::make_method("fab_topk", dim, 5),
-                 std::make_unique<online::FixedK>(10.0));
-  (void)sim.run();
-  const auto w0 = sim.client_weights(0);
-  for (std::size_t i = 1; i < sim.num_clients(); ++i) {
-    const auto wi = sim.client_weights(i);
-    EXPECT_NE(wi.data(), w0.data()) << "client " << i;  // distinct storage
-    for (std::size_t j = 0; j < dim; ++j) {
-      ASSERT_EQ(w0[j], wi[j]) << "client " << i << " coord " << j;
+  ASSERT_EQ(dim, 256u);
+  RoundRecorder recorder(dim, "fedavg", 5, cfg.faults, cfg.validation);
+  Simulation sim(cfg, std::move(dataset), factory, sparsify::make_method("fedavg", dim, 5),
+                 std::make_unique<online::FixedK>(15.0));
+  sim.set_recorder(&recorder);
+  const SimulationResult res = sim.run();
+  ASSERT_EQ(res.rounds_run, 8u);
+  ASSERT_FALSE(recorder.log().rounds.empty());
+  const ReplayRound& sync = recorder.log().rounds.back();
+  ASSERT_EQ(sync.round, 8u);
+
+  // The synchronization the server broadcast: the logged local weights of
+  // the flushed clients, re-averaged by a fresh FedAvg instance.
+  std::vector<std::vector<float>> local(sync.client_ids.size(), std::vector<float>(dim, 0.0f));
+  for (std::size_t s = 0; s < local.size(); ++s) {
+    for (std::size_t e = sync.vec_offsets[s]; e < sync.vec_offsets[s + 1]; ++e) {
+      local[s][static_cast<std::size_t>(sync.vec_indices[e])] = sync.vec_values[e];
     }
+  }
+  sparsify::RoundInput in;
+  in.dim = dim;
+  in.round = sync.round;
+  for (const auto& v : local) in.client_vectors.emplace_back(v);
+  in.data_weights = sync.data_weights;
+  const sparsify::RoundOutcome out = sparsify::make_method("fedavg", dim, 5)->round(in, sync.k);
+  ASSERT_EQ(out.kind, sparsify::RoundOutcome::Kind::kWeightAverage);
+  const std::vector<float>& average = out.dense;
+
+  std::size_t online = 0, offline = 0;
+  for (std::size_t i = 0; i < sim.num_clients(); ++i) {
+    const auto wi = sim.client_weights(i);
+    ASSERT_EQ(wi.size(), dim);
+    const std::vector<float> own(wi.begin(), wi.end());
+    if (sim.network().available(i)) {
+      ++online;
+      EXPECT_EQ(own, average) << "online client " << i;
+    } else {
+      ++offline;
+      EXPECT_NE(own, average) << "offline client " << i;
+    }
+  }
+  // The scenario must exercise both sides of the rule.
+  EXPECT_GT(online, 0u);
+  EXPECT_GT(offline, 0u);
+}
+
+// A local-update method that breaks its contract by emitting a gradient
+// update: there is no shared weight store for it to land on.
+class GradientEmittingLocalMethod final : public sparsify::Method {
+ public:
+  GradientEmittingLocalMethod(sparsify::RoundOutcome::Kind kind, std::size_t dim)
+      : kind_(kind), dim_(dim) {}
+  std::string name() const override { return "gradient_emitting_local"; }
+  bool local_update_style() const override { return true; }
+  sparsify::RoundOutcome round(const sparsify::RoundInput& in, std::size_t k) override {
+    (void)k;
+    sparsify::RoundOutcome out;
+    out.kind = kind_;
+    if (kind_ == sparsify::RoundOutcome::Kind::kDenseUpdate) {
+      out.dense.assign(dim_, 1.0f);
+    } else {
+      out.update = {{0, 1.0f}};
+    }
+    out.contributed.assign(in.client_vectors.size(), 0);
+    return out;
+  }
+
+ private:
+  sparsify::RoundOutcome::Kind kind_;
+  std::size_t dim_;
+};
+
+TEST(FedAvgEngine, LocalUpdateMethodEmittingAGradientUpdateThrows) {
+  for (const auto kind :
+       {sparsify::RoundOutcome::Kind::kSparseUpdate, sparsify::RoundOutcome::Kind::kDenseUpdate}) {
+    auto dataset = data::make_synthetic(tiny_dataset());
+    auto factory = tiny_model();
+    util::Rng probe(1);
+    const std::size_t dim = factory(probe)->dim();
+    SimulationConfig cfg = engine_sim();
+    cfg.max_rounds = 3;
+    Simulation sim(cfg, std::move(dataset), factory,
+                   std::make_unique<GradientEmittingLocalMethod>(kind, dim),
+                   std::make_unique<online::FixedK>(10.0));
+    EXPECT_THROW((void)sim.run(), std::logic_error);
   }
 }
 

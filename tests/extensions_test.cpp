@@ -220,6 +220,17 @@ data::SyntheticConfig small_data(std::uint64_t seed = 8) {
   return dcfg;
 }
 
+// Heterogeneous compute: per-client time multipliers ~ exp(N(0, spread)),
+// drawn from a stream keyed by the run seed and set on the network profiles
+// of small_data's clients.
+void spread_compute_times(fl::SimulationConfig& cfg, double spread) {
+  util::Rng rng(cfg.seed ^ 0x4E7E20ULL);
+  cfg.network.profiles.assign(small_data().num_clients, fl::ClientProfile{});
+  for (auto& profile : cfg.network.profiles) {
+    profile.compute_multiplier = std::exp(rng.normal(0.0, spread));
+  }
+}
+
 fl::SimulationResult run_small(fl::SimulationConfig cfg, std::uint64_t data_seed = 8) {
   auto factory = nn::mlp(16, {8}, 4);
   util::Rng probe(1);
@@ -276,7 +287,7 @@ TEST(Heterogeneity, StragglersInflateRoundCost) {
   base.max_rounds = 20;
   const auto homogeneous = run_small(base);
   auto het = base;
-  het.compute_time_spread = 0.8;
+  spread_compute_times(het, 0.8);
   const auto heterogeneous = run_small(het);
   EXPECT_GT(heterogeneous.total_time, homogeneous.total_time);
 }
@@ -287,7 +298,7 @@ TEST(Heterogeneity, PartialParticipationCanDodgeStragglers) {
   // (averaged) must be <= the full-participation straggler-bound run.
   auto full = small_sim();
   full.max_rounds = 40;
-  full.compute_time_spread = 1.0;
+  spread_compute_times(full, 1.0);
   const auto all_in = run_small(full);
   auto sampled = full;
   sampled.participation = 0.25;
@@ -299,7 +310,7 @@ TEST(Heterogeneity, PartialParticipationCanDodgeStragglers) {
 
 TEST(Heterogeneity, DeterministicGivenSeed) {
   auto cfg = small_sim();
-  cfg.compute_time_spread = 0.5;
+  spread_compute_times(cfg, 0.5);
   cfg.participation = 0.5;
   const auto a = run_small(cfg);
   const auto b = run_small(cfg);

@@ -167,37 +167,6 @@ TEST(Client, GradientAccumulatesAndResets) {
   EXPECT_EQ(mass, 0.0);
 }
 
-TEST(Client, ProbeLossShiftRestoresWeightsExactly) {
-  auto fed = data::make_synthetic(tiny_dataset());
-  util::Rng mrng(2);
-  auto model = tiny_model()(mrng);
-  Client client(0, std::move(fed.clients[0]), model->dim(), 7);
-  client.compute_round_gradient(*model, 1, 8);
-  std::vector<float> before(model->weights().begin(), model->weights().end());
-  sparsify::SparseVector diff{{0, 0.5f}, {5, -1.0f}};
-  (void)client.probe_loss_shifted(*model, diff, 0.1f);
-  const auto after = model->weights();
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i], after[i]) << "weight " << i << " not restored";
-  }
-}
-
-TEST(Client, SparseUpdateTouchesOnlyListedCoords) {
-  auto fed = data::make_synthetic(tiny_dataset());
-  util::Rng mrng(3);
-  auto model = tiny_model()(mrng);
-  Client client(0, std::move(fed.clients[0]), model->dim(), 9);
-  client.allocate_weights(model->weights());  // FedAvg / per-replica layout
-  std::vector<float> before(client.weights().begin(), client.weights().end());
-  client.apply_sparse_update({{2, 2.0f}, {7, -4.0f}}, 0.5f);
-  const auto after = client.weights();
-  EXPECT_FLOAT_EQ(after[2], before[2] - 1.0f);
-  EXPECT_FLOAT_EQ(after[7], before[7] + 2.0f);
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    if (i != 2 && i != 7) EXPECT_EQ(after[i], before[i]);
-  }
-}
-
 TEST(Client, SharedStoreClientOwnsNoWeights) {
   auto fed = data::make_synthetic(tiny_dataset());
   util::Rng mrng(4);

@@ -2,8 +2,11 @@
 // validation, and error paths on malformed files.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "data/io.h"
 #include "data/synthetic.h"
@@ -13,8 +16,14 @@ namespace {
 
 class IoTest : public ::testing::Test {
  protected:
+  // One directory per test and process: ctest runs each case as its own
+  // process, concurrently under -j, so a shared directory would be removed
+  // by one case's TearDown while a sibling still writes into it.
   void SetUp() override {
-    dir_ = "/tmp/fedsparse_io_test";
+    const std::string test = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = (std::filesystem::temp_directory_path() /
+            ("fedsparse_io_test_" + test + "_" + std::to_string(::getpid())))
+               .string();
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
