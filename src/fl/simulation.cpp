@@ -233,9 +233,7 @@ const sparsify::RoundInput& Simulation::make_round_input(
   }
   // Buffered-async flushes discount stale contributions before the methods
   // ever see the weights; methods stay staleness-oblivious (sparsify/method.h).
-  if (!staleness.empty()) {
-    staleness_weighting(weight_storage_, staleness, cfg_.async.staleness_lambda);
-  }
+  staleness_weighting(weight_storage_, staleness, cfg_.async.staleness_lambda);
   round_input_.data_weights = {weight_storage_.data(), weight_storage_.size()};
   return round_input_;
 }
@@ -444,29 +442,13 @@ void Simulation::stage_schedule(RoundContext& ctx) {
   }
   for (const auto& [t, i] : arrival_scratch_) timeline_.push(t, EventKind::kUploadReady, i);
 
+  // The flush fires at the M-th arrival (buffer_size). The barrier — like
+  // buffered async with M = 0 — accepts every arrival, so nothing defers,
+  // every slot is fresh and the flush fires after the last surviving upload.
   const std::size_t arrivals = arrival_scratch_.size();
   std::size_t accept = arrivals;
   if (async && cfg_.async.buffer_size > 0) accept = std::min(cfg_.async.buffer_size, arrivals);
   const double flush_time = accept > 0 ? arrival_scratch_[accept - 1].first : 0.0;
-
-  if (!async) {
-    // Barrier: the flush is the whole participant set minus lost uploaders
-    // (they computed — compute_ids_ keeps them — but never reached the
-    // server), all fresh, fired after the last surviving arrival — arrival
-    // order is unobservable by construction, which is exactly what makes it
-    // the degenerate case.
-    if (!lost_ids_.empty()) {
-      std::erase_if(part_ids_, [&](std::size_t i) {
-        return std::binary_search(lost_ids_.begin(), lost_ids_.end(), i);
-      });
-    }
-    timeline_.push(flush_time, EventKind::kBufferFlush, part.size());
-    timeline_.seal();
-    ctx.flush = &part_ids_;
-    ctx.staleness = {};
-    ctx.mean_staleness = 0.0;
-    return;
-  }
 
   accepted_ids_.clear();
   for (std::size_t s = 0; s < accept; ++s) accepted_ids_.push_back(arrival_scratch_[s].second);
@@ -678,34 +660,27 @@ void Simulation::stage_account(RoundContext& ctx, SimulationResult& res, double&
   const std::vector<std::size_t>& flush = *ctx.flush;
   const sparsify::RoundOutcome& outcome = ctx.outcome;
 
-  // Straggler-correct round timing. Synchronized: τ_m maxes each
-  // participant's compute + own-payload-over-own-link, then adds the
-  // broadcast over the slowest participating downlink (the homogeneous fast
-  // path inside round_time() reproduces the legacy TimingModel expression
-  // bit-for-bit). Buffered async: τ_m waits only on FRESH arrivals — a
-  // buffered contribution's transit overlapped an earlier round's window and
-  // costs this flush nothing. That is the wall-clock win over the barrier;
-  // with every slot fresh the subset IS the flush and the legacy max below
-  // reproduces outcome.uplink_values exactly (2·|J| payloads are integers,
-  // exact in double), keeping the degenerate case bitwise synchronized.
+  // Straggler-correct round timing: τ_m maxes each FRESH arrival's compute +
+  // own-payload-over-own-link, then adds the broadcast over the slowest
+  // participating downlink (the homogeneous fast path inside round_time()
+  // reproduces the legacy TimingModel expression bit-for-bit). A buffered
+  // contribution's transit overlapped an earlier round's window and costs
+  // this flush nothing — the wall-clock win of buffered async. Under the
+  // barrier every slot is fresh, so the subset IS the flush and the max
+  // below is outcome.uplink_values.
   uplink_slots_.resize(flush.size());
-  for (std::size_t s = 0; s < flush.size(); ++s) uplink_slots_[s] = outcome.client_uplink(s);
-  if (cfg_.aggregation == AggregationMode::kSynchronized) {
-    ctx.round_timing =
-        network_.round_time(flush, uplink_slots_, outcome.uplink_values, outcome.downlink_values);
-  } else {
-    fresh_ids_.clear();
-    fresh_uplink_.clear();
-    double fresh_legacy = 0.0;
-    for (std::size_t s = 0; s < flush.size(); ++s) {
-      if (!fresh_mask_[s]) continue;
-      fresh_ids_.push_back(flush[s]);
-      fresh_uplink_.push_back(uplink_slots_[s]);
-      fresh_legacy = std::max(fresh_legacy, uplink_slots_[s]);
-    }
-    ctx.round_timing =
-        network_.round_time(fresh_ids_, fresh_uplink_, fresh_legacy, outcome.downlink_values);
+  fresh_ids_.clear();
+  fresh_uplink_.clear();
+  double fresh_legacy = 0.0;
+  for (std::size_t s = 0; s < flush.size(); ++s) {
+    uplink_slots_[s] = outcome.client_uplink(s);
+    if (!fresh_mask_[s]) continue;
+    fresh_ids_.push_back(flush[s]);
+    fresh_uplink_.push_back(uplink_slots_[s]);
+    fresh_legacy = std::max(fresh_legacy, uplink_slots_[s]);
   }
+  ctx.round_timing =
+      network_.round_time(fresh_ids_, fresh_uplink_, fresh_legacy, outcome.downlink_values);
 
   // Composite-resource payload totals: round *time* maxes over the parallel
   // uplinks, but additive resources (energy, money) price the whole fleet —
@@ -929,8 +904,7 @@ void Simulation::emit_telemetry(const RoundContext& ctx, const SimulationResult&
   g_trust.set(rec.trust);
   for (const FaultEvent& e : fault_events_) publish_fault_event(e.kind);
   for (std::size_t s = 0; s < rec.participants; ++s) {
-    h_staleness.observe(
-        ctx.staleness.empty() ? 0.0 : static_cast<double>(ctx.staleness[s]));
+    h_staleness.observe(static_cast<double>(ctx.staleness[s]));
   }
 
   span_scratch_.clear();

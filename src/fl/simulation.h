@@ -293,10 +293,9 @@ class Simulation {
   /// Everything one round's stages hand to the next. The lockstep monolith
   /// became this staged pipeline: begin → schedule → compute → server round →
   /// probe → apply → account → record, each stage a method below. `flush`
-  /// points at the server round's participant set — part_ids_ under the
-  /// barrier, flush_ids_ (accepted arrivals + buffered catch-ups) under
-  /// buffered async — and `staleness` is slot-aligned with it (empty = all
-  /// fresh).
+  /// points at the server round's participant set, flush_ids_ (accepted
+  /// arrivals + buffered catch-ups; under the barrier every surviving
+  /// arrival), and `staleness` is slot-aligned with it.
   struct RoundContext {
     std::size_t m = 0;
     double k_cont = 0.0;

@@ -5,12 +5,8 @@
 
 #include "sparsify/keys.h"
 #include "sparsify/topk.h"
-#include "tensor/matrix.h"
-#include "util/thread_pool.h"
 
 namespace fedsparse::sparsify {
-
-FabTopK::FabTopK(std::size_t dim) : pipe_(dim) {}
 
 std::size_t FabTopK::find_kappa(const std::vector<SparseVector>& uploads, std::size_t k) {
   // |∪_i J_i^κ| is nondecreasing in κ, so binary search works. Evaluating the
@@ -35,7 +31,7 @@ std::size_t FabTopK::find_kappa(const std::vector<SparseVector>& uploads, std::s
   return lo;
 }
 
-// One round at any shard count S (S = 1 included): every O(N·k) server pass
+// J at any shard count S (S = 1 included): every O(N·k) server pass
 // is split into per-shard arena passes over a contiguous client partition
 // plus a fixed-order serial combine, so the outcome does not depend on S.
 //
@@ -63,37 +59,20 @@ std::size_t FabTopK::find_kappa(const std::vector<SparseVector>& uploads, std::s
 //    emits the client-major reset lists over a contiguous partition. The
 //    builder runs FIRST: the aggregator re-stamps J's entries with its touch
 //    token, consuming the in_j membership the filter reads.
-RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
-  validate_round_input(in);
-  const std::size_t n = in.client_vectors.size();
-  const std::size_t dim = pipe_.dim();
-  k = std::clamp<std::size_t>(k, 1, dim);
-  util::ThreadPool* pool = tensor::parallel_pool();
-  const ShardPlan plan = pipe_.make_plan(n);
-  const std::size_t S = plan.shards();
-
-  // Stage: client-side top-k of the accumulated gradient, strongest first.
-  const std::vector<SparseVector>& uploads = pipe_.select_uploads(in, k);
-
-  // Stage: screen the uploads before anything server-side reads them — a
-  // poisoned payload must not reach the κ search, let alone the arena.
-  ValidationStats vstats;
-  const std::span<const double> weights = pipe_.validate_uploads(in, vstats);
-  if (vstats.degraded) {
-    RoundOutcome out;
-    pipe_.finish_degraded(in, out);
-    out.validation = vstats;
-    return out;
-  }
+void FabTopK::choose(const Pass& p, RoundOutcome& out) {
+  const std::size_t dim = this->dim();
+  const std::size_t k = p.k;
+  const std::size_t S = p.plan.shards();
+  const std::vector<SparseVector>& uploads = this->uploads();
 
   // Per-shard min prefix depth of every index the shard saw.
-  std::vector<ShardArena>& arenas = pipe_.arenas(S);
-  for_each_shard(pool, S, [&](std::size_t s) {
+  std::vector<ShardArena>& arenas = this->arenas(S);
+  for_each_shard(p.pool, S, [&](std::size_t s) {
     ShardArena& ar = arenas[s];
     const std::uint32_t tok = ar.begin_pass(dim);
     ar.touched.clear();
     for (std::size_t j = 0; j < k; ++j) {
-      for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
+      for (std::size_t i = p.plan.begin(s); i < p.plan.end(s); ++i) {
         const auto& up = uploads[i];
         if (up.size() <= j) continue;
         const auto idx = static_cast<std::size_t>(up[j].index);
@@ -110,8 +89,8 @@ RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
   // histogram walk: union_growth_[j] counts the indices first appearing at
   // prefix depth j+1.
   if (depth_.size() < dim) depth_.resize(dim, 0);
-  std::uint32_t* stamp = pipe_.stamp();
-  const std::uint32_t seen = pipe_.next_token();
+  std::uint32_t* stamp = this->stamp();
+  const std::uint32_t seen = next_token();
   touched_union_.clear();
   for (std::size_t s = 0; s < S; ++s) {
     const ShardArena& ar = arenas[s];
@@ -138,7 +117,7 @@ RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
     kappa = j + 1;
   }
 
-  const std::uint32_t in_j = pipe_.next_token();
+  const std::uint32_t in_j = next_token();
   selected_.clear();
   for (const std::int32_t j : touched_union_) {
     const auto idx = static_cast<std::size_t>(j);
@@ -150,10 +129,10 @@ RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
 
   if (selected_.size() < k) {
     const std::size_t need = k - selected_.size();
-    for_each_shard(pool, S, [&](std::size_t s) {
+    for_each_shard(p.pool, S, [&](std::size_t s) {
       ShardArena& ar = arenas[s];
       ar.keys.clear();
-      for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
+      for (std::size_t i = p.plan.begin(s); i < p.plan.end(s); ++i) {
         const auto& up = uploads[i];
         if (up.size() > kappa) {
           const auto& e = up[kappa];
@@ -176,7 +155,7 @@ RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
     });
     std::size_t total_fill = 0;
     for (std::size_t s = 0; s < S; ++s) total_fill += arenas[s].keys.size();
-    const auto merged = pipe_.merge_arena_keys(S, total_fill);
+    const auto merged = merge_arena_keys(S, total_fill);
     for (const std::uint64_t key : merged) {
       if (selected_.size() >= k) break;
       const std::size_t idx = key_index(key);
@@ -187,29 +166,15 @@ RoundOutcome FabTopK::round(const RoundInput& in, std::size_t k) {
     }
   }
 
-  RoundOutcome out;
-  out.kind = RoundOutcome::Kind::kSparseUpdate;
-  out.validation = vstats;
   const BucketAggregator::Filter filter{stamp, in_j};
-  pipe_.build_resets(S, pool, filter, out);
-  if (pipe_.robust_enabled()) {
-    pipe_.aggregate_robust(in, weights, S, pool, filter);
-    out.robust = pipe_.robust_stats();
-  } else {
-    pipe_.aggregate(weights, S, pool, filter);
-  }
+  build_resets(p, filter, out);
+  aggregate(p, filter, out);
 
   // Buckets are ascending disjoint index ranges, so per-bucket index sorts
   // concatenate into the globally index-sorted update. Every j ∈ J has at
   // least one uploader (prefix members and fill candidates both come from
   // uploads), so the aggregated set IS J.
-  pipe_.emit_update_from_buckets(pool, out);
-
-  // Stage: payload accounting. Clients transmit in parallel, so the round
-  // waits on the largest actual per-client payload, not a flat 2k; the full
-  // per-client distribution feeds the heterogeneous network model.
-  pipe_.finish_payload(out);
-  return out;
+  emit_update_from_buckets(p, out);
 }
 
 }  // namespace fedsparse::sparsify

@@ -14,43 +14,30 @@
 //
 // Fairness guarantee: κ never drops below ⌊k/N⌋ because N·⌊k/N⌋ ≤ k.
 //
-// The shared stages (selection, aggregation arena, shard scratch, reset
-// builder, payload accounting) live in RoundPipeline; this class owns only
-// the FAB-specific middle: the κ search and the fill.
+// The shared stages (selection, screening, aggregation arena, shard scratch,
+// reset builder, payload accounting) live in TopKMethod; this class owns
+// only the FAB-specific choose(): the κ search and the fill.
 #pragma once
 
-#include "sparsify/method.h"
-#include "sparsify/round_pipeline.h"
+#include "sparsify/topk_method.h"
 
 namespace fedsparse::sparsify {
 
-class FabTopK final : public Method {
+class FabTopK final : public TopKMethod {
  public:
-  explicit FabTopK(std::size_t dim);
+  explicit FabTopK(std::size_t dim) : TopKMethod(dim) {}
 
   std::string name() const override { return "fab_topk"; }
-  RoundOutcome round(const RoundInput& in, std::size_t k) override;
-
-  /// Partitions the participants into `shards` contiguous fleets (per-shard
-  /// depth arenas, tree-merged fill candidates, bucketed aggregation). The
-  /// same round body runs at every shard count, 1 included, with
-  /// byte-identical outcomes.
-  void set_sharding(std::size_t shards) override { pipe_.set_sharding(shards); }
-  void set_validation(const ValidationConfig& cfg) override { pipe_.set_validation(cfg); }
-  void set_robust(const RobustConfig& cfg) override { pipe_.set_robust(cfg); }
-
-  float upload_threshold_hint(std::size_t client_id, std::size_t k) const override {
-    return pipe_.threshold_hint(client_id, k);
-  }
 
   /// Reference κ search (hash-set based binary search), exposed for unit
   /// tests: given per-client uploads sorted strongest-first, returns the
-  /// largest κ ∈ [0, k] with |∪_i J_i^κ| ≤ k. round() computes the same κ
+  /// largest κ ∈ [0, k] with |∪_i J_i^κ| ≤ k. choose() computes the same κ
   /// from a merged per-index prefix-depth histogram.
   static std::size_t find_kappa(const std::vector<SparseVector>& uploads, std::size_t k);
 
  private:
-  RoundPipeline pipe_;
+  void choose(const Pass& p, RoundOutcome& out) override;
+
   // FAB-specific per-round scratch (reused; steady-state rounds allocate
   // nothing): the selected downlink set J, the union-growth histogram of the
   // κ search, and the merged per-index min prefix depths.

@@ -5,14 +5,10 @@
 
 #include "sparsify/keys.h"
 #include "sparsify/topk.h"
-#include "tensor/matrix.h"
-#include "util/thread_pool.h"
 
 namespace fedsparse::sparsify {
 
-FubTopK::FubTopK(std::size_t dim) : pipe_(dim) {}
-
-// One round at any shard count: aggregate everything uploaded, then keep the
+// J at any shard count: aggregate everything uploaded, then keep the
 // top-k indices by (|aggregate| desc, index asc) — exactly the 64-bit key
 // order on (agg value, index), and the per-index keys are unique. So:
 // bucketed aggregation (bit-identical sums at every shard count, see
@@ -20,34 +16,14 @@ FubTopK::FubTopK(std::size_t dim) : pipe_(dim) {}
 // a k-bounded tree merge of the runs. The merged run is the global top-k set;
 // the update is re-sorted by index, and resets / contributions consume only
 // set membership.
-RoundOutcome FubTopK::round(const RoundInput& in, std::size_t k) {
-  validate_round_input(in);
-  k = std::clamp<std::size_t>(k, 1, pipe_.dim());
-  util::ThreadPool* pool = tensor::parallel_pool();
-  const ShardPlan plan = pipe_.make_plan(in.client_vectors.size());
-  const std::size_t S = plan.shards();
-
-  pipe_.select_uploads(in, k);
-
-  ValidationStats vstats;
-  const std::span<const double> weights = pipe_.validate_uploads(in, vstats);
-  if (vstats.degraded) {
-    RoundOutcome out;
-    pipe_.finish_degraded(in, out);
-    out.validation = vstats;
-    return out;
-  }
-
-  RoundOutcome out;
-  const BucketAggregator& aggregator =
-      pipe_.robust_enabled() ? pipe_.aggregate_robust(in, weights, S, pool, /*f=*/{})
-                             : pipe_.aggregate(weights, S, pool, /*f=*/{});
-  if (pipe_.robust_enabled()) out.robust = pipe_.robust_stats();
-  float* agg = pipe_.agg();
+void FubTopK::choose(const Pass& p, RoundOutcome& out) {
+  const std::size_t k = p.k;
+  const BucketAggregator& aggregator = aggregate(p, /*f=*/{}, out);
+  float* agg = this->agg();
 
   const std::size_t B = aggregator.buckets();
-  std::vector<ShardArena>& arenas = pipe_.arenas(B);
-  for_each_shard(pool, B, [&](std::size_t b) {
+  std::vector<ShardArena>& arenas = this->arenas(B);
+  for_each_shard(p.pool, B, [&](std::size_t b) {
     ShardArena& ar = arenas[b];
     ar.keys.clear();
     for (const std::int32_t j : aggregator.touched(b)) {
@@ -61,26 +37,21 @@ RoundOutcome FubTopK::round(const RoundInput& in, std::size_t k) {
     }
     sort_keys_desc(ar.keys, ar.key_scratch);
   });
-  const auto merged = pipe_.merge_arena_keys(B, k);
+  const auto merged = merge_arena_keys(B, k);
 
-  std::uint32_t* stamp = pipe_.stamp();
-  const std::uint32_t in_j = pipe_.next_token();
-  out.kind = RoundOutcome::Kind::kSparseUpdate;
-  out.validation = vstats;
+  std::uint32_t* stamp = this->stamp();
+  const std::uint32_t in_j = next_token();
   out.update.resize(merged.size());
-  for (std::size_t p = 0; p < merged.size(); ++p) {
-    const std::size_t idx = key_index(merged[p]);
+  for (std::size_t pos = 0; pos < merged.size(); ++pos) {
+    const std::size_t idx = key_index(merged[pos]);
     stamp[idx] = in_j;
-    out.update[p] = SparseEntry{static_cast<std::int32_t>(idx), agg[idx]};
+    out.update[pos] = SparseEntry{static_cast<std::int32_t>(idx), agg[idx]};
   }
   sort_by_index(out.update);
 
   // Stage: per-client resets + contributions (an uploaded entry resets iff it
-  // made the broadcast, i.e. carries the in_j stamp), then payload
-  // accounting: parallel uplinks charge the largest actual per-client payload.
-  pipe_.build_resets(S, pool, {stamp, in_j}, out);
-  pipe_.finish_payload(out);
-  return out;
+  // made the broadcast, i.e. carries the in_j stamp).
+  build_resets(p, {stamp, in_j}, out);
 }
 
 }  // namespace fedsparse::sparsify

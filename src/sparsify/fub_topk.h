@@ -5,34 +5,22 @@
 // guarantee, so clients whose gradients are small can be excluded entirely
 // (the bias FAB-top-k exists to prevent; see Fig. 4 right).
 //
-// Shared stages live in RoundPipeline; this class owns only the FUB-specific
-// middle: top-k over the aggregated union.
+// Shared stages live in TopKMethod; this class owns only the FUB-specific
+// choose(): top-k over the aggregated union.
 #pragma once
 
-#include "sparsify/method.h"
-#include "sparsify/round_pipeline.h"
+#include "sparsify/topk_method.h"
 
 namespace fedsparse::sparsify {
 
-class FubTopK final : public Method {
+class FubTopK final : public TopKMethod {
  public:
-  explicit FubTopK(std::size_t dim);
+  explicit FubTopK(std::size_t dim) : TopKMethod(dim) {}
 
   std::string name() const override { return "fub_topk"; }
-  RoundOutcome round(const RoundInput& in, std::size_t k) override;
-
-  /// See FabTopK::set_sharding — one round body, byte-identical at every
-  /// shard count.
-  void set_sharding(std::size_t shards) override { pipe_.set_sharding(shards); }
-  void set_validation(const ValidationConfig& cfg) override { pipe_.set_validation(cfg); }
-  void set_robust(const RobustConfig& cfg) override { pipe_.set_robust(cfg); }
-
-  float upload_threshold_hint(std::size_t client_id, std::size_t k) const override {
-    return pipe_.threshold_hint(client_id, k);
-  }
 
  private:
-  RoundPipeline pipe_;
+  void choose(const Pass& p, RoundOutcome& out) override;
 };
 
 }  // namespace fedsparse::sparsify

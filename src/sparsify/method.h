@@ -174,15 +174,15 @@ class Method {
   virtual void set_sharding(std::size_t shards) { (void)shards; }
 
   /// Configures the upload-screening stage (sparsify/validate.h). Methods
-  /// without a screening stage ignore it; top-k methods forward to their
-  /// RoundPipeline. Disabled-by-default, and a disabled screen is a bitwise
-  /// no-op on the round.
+  /// without a screening stage ignore it; the top-k methods screen in the
+  /// shared TopKMethod round body. Disabled-by-default, and a disabled
+  /// screen is a bitwise no-op on the round.
   virtual void set_validation(const ValidationConfig& cfg) { (void)cfg; }
 
   /// Configures the robust-aggregation stage (sparsify/robust.h). Methods
-  /// without an aggregation stage ignore it; top-k methods forward to their
-  /// RoundPipeline. Disabled-by-default, and the disabled stage is a bitwise
-  /// no-op: the defense-off round never reaches the robust code path.
+  /// without an aggregation stage ignore it; the top-k methods reduce in
+  /// TopKMethod::aggregate. Disabled-by-default, and the disabled stage is a
+  /// bitwise no-op: the defense-off round never reaches the robust code path.
   virtual void set_robust(const RobustConfig& cfg) { (void)cfg; }
 
   /// The |value| threshold the next depth-`k` selection for `client_id`

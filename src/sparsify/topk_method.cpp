@@ -1,9 +1,10 @@
-#include "sparsify/round_pipeline.h"
+#include "sparsify/topk_method.h"
 
 #include <algorithm>
 #include <cmath>
 
 #include "sparsify/accumulator.h"
+#include "tensor/matrix.h"
 #include "util/contracts.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -44,14 +45,49 @@ void check_selected_uploads(const RoundInput& in, const std::vector<SparseVector
 }  // namespace
 #endif
 
-RoundPipeline::RoundPipeline(std::size_t dim) : dim_(dim), agg_(dim, 0.0f), stamp_(dim, 0) {}
+TopKMethod::TopKMethod(std::size_t dim) : dim_(dim), agg_(dim, 0.0f), stamp_(dim, 0) {}
 
-void RoundPipeline::set_sharding(std::size_t shards) noexcept {
+void TopKMethod::set_sharding(std::size_t shards) {
   shards_ = std::max<std::size_t>(1, shards);
 }
 
-const std::vector<SparseVector>& RoundPipeline::select_uploads(const RoundInput& in,
-                                                               std::size_t k) {
+float TopKMethod::upload_threshold_hint(std::size_t client_id, std::size_t k) const {
+  if (client_id >= hints_.size()) return 0.0f;
+  const ClientHint& hint = hints_[client_id];
+  return hint_compatible(hint.k, k) ? hint.threshold : 0.0f;
+}
+
+RoundOutcome TopKMethod::round(const RoundInput& in, std::size_t k) {
+  validate_round_input(in);
+  k = std::clamp<std::size_t>(k, 1, dim_);
+
+  // Stage: client-side top-k of the accumulated gradient, strongest first.
+  select_uploads(in, k);
+
+  // Stage: screen the uploads before anything server-side reads them — a
+  // poisoned payload must not reach the κ search, let alone the arena.
+  RoundOutcome out;
+  out.kind = RoundOutcome::Kind::kSparseUpdate;
+  const std::span<const double> weights = screen_uploads(in, out.validation);
+  if (out.validation.degraded) {
+    // Degraded round: empty update, no resets, all-zero contributions. The
+    // engine holds weights and every client keeps its accumulated mass.
+    out.reset_kind = RoundOutcome::ResetKind::kNone;
+    out.contributed.assign(in.client_vectors.size(), 0);
+  } else {
+    choose({in, k, make_shard_plan(in.client_vectors.size(), shards_), tensor::parallel_pool(),
+            weights},
+           out);
+  }
+
+  // Stage: payload accounting. Clients transmit in parallel, so the round
+  // waits on the largest actual per-client payload, not a flat 2k; the full
+  // per-client distribution feeds the heterogeneous network model.
+  finish_payload(out);
+  return out;
+}
+
+void TopKMethod::select_uploads(const RoundInput& in, std::size_t k) {
   FEDSPARSE_SPAN("pipeline_select");
   top_k_uploads_fleet(in.client_vectors, in.client_chunk_max, k, in.client_ids, slot_ws_, hints_,
                       uploads_);
@@ -64,11 +100,10 @@ const std::vector<SparseVector>& RoundPipeline::select_uploads(const RoundInput&
       in.tamper->apply(in.round, cid, uploads_[s]);
     }
   }
-  return uploads_;
 }
 
-std::span<const double> RoundPipeline::validate_uploads(const RoundInput& in,
-                                                        ValidationStats& stats) {
+std::span<const double> TopKMethod::screen_uploads(const RoundInput& in,
+                                                   ValidationStats& stats) {
   FEDSPARSE_SPAN("pipeline_screen");
   const std::span<const double> eff =
       validator_.screen(uploads_, in.client_ids, in.data_weights, dim_, in.round, stats);
@@ -86,27 +121,13 @@ std::span<const double> RoundPipeline::validate_uploads(const RoundInput& in,
   return eff;
 }
 
-void RoundPipeline::finish_degraded(const RoundInput& in, RoundOutcome& out) const {
-  out.kind = RoundOutcome::Kind::kSparseUpdate;
-  out.update.clear();
-  out.reset_kind = RoundOutcome::ResetKind::kNone;
-  out.contributed.assign(in.client_vectors.size(), 0);
-  finish_payload(out);
-}
-
-float RoundPipeline::threshold_hint(std::size_t client_id, std::size_t k) const {
-  if (client_id >= hints_.size()) return 0.0f;
-  const ClientHint& hint = hints_[client_id];
-  return hint_compatible(hint.k, k) ? hint.threshold : 0.0f;
-}
-
-std::vector<ShardArena>& RoundPipeline::arenas(std::size_t count) {
+std::vector<ShardArena>& TopKMethod::arenas(std::size_t count) {
   if (arenas_.size() < count) arenas_.resize(count);
   return arenas_;
 }
 
-std::span<const std::uint64_t> RoundPipeline::merge_arena_keys(std::size_t count,
-                                                               std::size_t bound) {
+std::span<const std::uint64_t> TopKMethod::merge_arena_keys(std::size_t count,
+                                                            std::size_t bound) {
   runs_.clear();
   for (std::size_t s = 0; s < count; ++s) {
     runs_.push_back({arenas_[s].keys.data(), arenas_[s].keys.size()});
@@ -123,35 +144,32 @@ std::span<const std::uint64_t> RoundPipeline::merge_arena_keys(std::size_t count
   return {merged_keys_.data(), merged_keys_.size()};
 }
 
-const BucketAggregator& RoundPipeline::aggregate(std::span<const double> weights,
-                                                 std::size_t shards, util::ThreadPool* pool,
-                                                 const BucketAggregator::Filter& f) {
-  FEDSPARSE_SPAN("pipeline_aggregate");
+const BucketAggregator& TopKMethod::aggregate(const Pass& p, const BucketAggregator::Filter& f,
+                                              RoundOutcome& out) {
+  const std::size_t S = p.plan.shards();
   ++stamp_token_;
-  aggregator_.run(uploads_, weights, dim_, shards, pool, f, agg_.data(), stamp_.data(),
-                  stamp_token_);
-  return aggregator_;
-}
-
-const BucketAggregator& RoundPipeline::aggregate_robust(const RoundInput& in,
-                                                        std::span<const double> weights,
-                                                        std::size_t shards,
-                                                        util::ThreadPool* pool,
-                                                        const BucketAggregator::Filter& f) {
+  if (robust_cfg_.trivial()) {
+    FEDSPARSE_SPAN("pipeline_aggregate");
+    aggregator_.run(uploads_, p.weights, dim_, S, p.pool, f, agg_.data(), stamp_.data(),
+                    stamp_token_);
+    return aggregator_;
+  }
   FEDSPARSE_SPAN("pipeline_robust_aggregate");
-  ++stamp_token_;
-  aggregator_.run_robust(uploads_, weights, dim_, shards, pool, f, robust_cfg_, agg_.data(),
-                         stamp_.data(), stamp_token_, robust_stats_);
+  RobustStats& stats = out.robust;
+  aggregator_.run_robust(uploads_, p.weights, dim_, S, p.pool, f, robust_cfg_, agg_.data(),
+                         stamp_.data(), stamp_token_, stats);
 
   // Reputation pass: every contributing client scored by the cosine between
   // its upload and the robust aggregate restricted to the client's own
   // coordinates (membership = the indices the reduce just stamped, which is
   // exactly the filter the scatter applied). Serial in slot order — pure and
   // shard-count invariant. Trust is the weighted fraction of contributors
-  // that are NOT anti-aligned. An honest client with a divergent gradient can
-  // dip below the threshold on a noisy round, so clean-run trust is high but
-  // not pinned at 1.0; the strike/clear pair below keeps such false positives
-  // from ever reaching quarantine (that takes consecutive suspect rounds).
+  // that are NOT anti-aligned; anti-aligned clients take a reputation strike
+  // through the validator's quarantine bookkeeping. An honest client with a
+  // divergent gradient can dip below the threshold on a noisy round, so
+  // clean-run trust is high but not pinned at 1.0; the strike/clear pair
+  // below keeps such false positives from ever reaching quarantine (that
+  // takes consecutive suspect rounds).
   double contributing_w = 0.0;
   double aligned_w = 0.0;
   for (std::size_t s = 0; s < uploads_.size(); ++s) {
@@ -170,31 +188,31 @@ const BucketAggregator& RoundPipeline::aggregate_robust(const RoundInput& in,
       norm_agg += a * a;
     }
     if (!contributed) continue;
-    const double w = weights[s];
+    const double w = p.weights[s];
     contributing_w += w;
     const bool anti_aligned =
         norm_up > 0.0 && norm_agg > 0.0 &&
         dot < robust_cfg_.suspect_cosine * std::sqrt(norm_up) * std::sqrt(norm_agg);
-    const std::size_t cid = in.client_ids.empty() ? s : in.client_ids[s];
+    const std::size_t cid = p.in.client_ids.empty() ? s : p.in.client_ids[s];
     if (anti_aligned) {
-      ++robust_stats_.suspects;
-      validator_.note_suspect(cid, in.round);
+      ++stats.suspects;
+      validator_.note_suspect(cid, p.in.round);
     } else {
       aligned_w += w;
-      validator_.note_aligned(cid, in.round);
+      validator_.note_aligned(cid, p.in.round);
     }
   }
-  robust_stats_.mean_trust = contributing_w > 0.0 ? aligned_w / contributing_w : 1.0;
+  stats.mean_trust = contributing_w > 0.0 ? aligned_w / contributing_w : 1.0;
   return aggregator_;
 }
 
-void RoundPipeline::build_resets(std::size_t shards, util::ThreadPool* pool,
-                                 const BucketAggregator::Filter& f, RoundOutcome& out) {
+void TopKMethod::build_resets(const Pass& p, const BucketAggregator::Filter& f,
+                              RoundOutcome& out) {
   FEDSPARSE_SPAN("pipeline_resets");
-  resets_.run(uploads_, shards, pool, f, out);
+  resets_.run(uploads_, p.plan.shards(), p.pool, f, out);
 }
 
-void RoundPipeline::emit_update_from_buckets(util::ThreadPool* pool, RoundOutcome& out) {
+void TopKMethod::emit_update_from_buckets(const Pass& p, RoundOutcome& out) {
   FEDSPARSE_SPAN("pipeline_emit");
   const std::size_t B = aggregator_.buckets();
   if (arenas_.size() < B) arenas_.resize(B);
@@ -204,7 +222,7 @@ void RoundPipeline::emit_update_from_buckets(util::ThreadPool* pool, RoundOutcom
     bucket_offsets_[b + 1] = bucket_offsets_[b] + aggregator_.touched(b).size();
   }
   out.update.resize(bucket_offsets_[B]);
-  for_each_shard(pool, B, [&](std::size_t b) {
+  for_each_shard(p.pool, B, [&](std::size_t b) {
     ShardArena& ar = arenas_[b];
     const auto touched = aggregator_.touched(b);
     ar.touched.assign(touched.begin(), touched.end());
@@ -216,7 +234,7 @@ void RoundPipeline::emit_update_from_buckets(util::ThreadPool* pool, RoundOutcom
   });
 }
 
-void RoundPipeline::finish_payload(RoundOutcome& out) const {
+void TopKMethod::finish_payload(RoundOutcome& out) const {
 #ifdef FEDSPARSE_CONTRACTS
   // Every emitting path (index sort, bucket concatenation) must deliver the
   // update strictly index-ascending and in-bounds — appliers and the probe's

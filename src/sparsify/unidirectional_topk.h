@@ -4,34 +4,22 @@
 // union, which can be as large as k·N elements — the downlink blow-up that
 // motivates bidirectional schemes.
 //
-// Shared stages live in RoundPipeline; nothing here is selective, so the
-// method-specific middle is trivial (broadcast the whole aggregated union).
+// Shared stages live in TopKMethod; nothing here is selective, so choose()
+// keeps everything (broadcast the whole aggregated union).
 #pragma once
 
-#include "sparsify/method.h"
-#include "sparsify/round_pipeline.h"
+#include "sparsify/topk_method.h"
 
 namespace fedsparse::sparsify {
 
-class UnidirectionalTopK final : public Method {
+class UnidirectionalTopK final : public TopKMethod {
  public:
-  explicit UnidirectionalTopK(std::size_t dim);
+  explicit UnidirectionalTopK(std::size_t dim) : TopKMethod(dim) {}
 
   std::string name() const override { return "unidirectional_topk"; }
-  RoundOutcome round(const RoundInput& in, std::size_t k) override;
-
-  /// See FabTopK::set_sharding — one round body, byte-identical at every
-  /// shard count.
-  void set_sharding(std::size_t shards) override { pipe_.set_sharding(shards); }
-  void set_validation(const ValidationConfig& cfg) override { pipe_.set_validation(cfg); }
-  void set_robust(const RobustConfig& cfg) override { pipe_.set_robust(cfg); }
-
-  float upload_threshold_hint(std::size_t client_id, std::size_t k) const override {
-    return pipe_.threshold_hint(client_id, k);
-  }
 
  private:
-  RoundPipeline pipe_;
+  void choose(const Pass& p, RoundOutcome& out) override;
 };
 
 }  // namespace fedsparse::sparsify
