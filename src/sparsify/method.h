@@ -161,10 +161,12 @@ class Method {
   /// (already integer via stochastic rounding; clamped to [1, D] by callers).
   virtual RoundOutcome round(const RoundInput& in, std::size_t k) = 0;
 
-  /// Evaluates what `round(in, k)` *would* produce without committing any
-  /// internal state — used for the k'_m probe of the derivative-sign
-  /// estimator (Section IV-E). Stateless methods inherit this default;
-  /// stateful ones (periodic-k) override it to snapshot/restore.
+  /// The k'_m probe of the derivative-sign estimator (Section IV-E): what
+  /// `round(in, k)` would produce for the round just run, without changing
+  /// any later round()'s outcome — replay drives round() alone from a
+  /// recorded log. Stateless methods inherit this default. The top-k methods
+  /// rerun their round body with quarantine booking off (selection may still
+  /// refresh a client's threshold hint; see TopKWorkspace).
   virtual RoundOutcome probe_round(const RoundInput& in, std::size_t k) { return round(in, k); }
 
   /// Splits the server round's client passes into `shards` contiguous shards

@@ -57,7 +57,7 @@ float TopKMethod::upload_threshold_hint(std::size_t client_id, std::size_t k) co
   return hint_compatible(hint.k, k) ? hint.threshold : 0.0f;
 }
 
-RoundOutcome TopKMethod::round(const RoundInput& in, std::size_t k) {
+RoundOutcome TopKMethod::run(const RoundInput& in, std::size_t k, bool book) {
   validate_round_input(in);
   k = std::clamp<std::size_t>(k, 1, dim_);
 
@@ -67,8 +67,7 @@ RoundOutcome TopKMethod::round(const RoundInput& in, std::size_t k) {
   // Stage: screen the uploads before anything server-side reads them — a
   // poisoned payload must not reach the κ search, let alone the arena.
   RoundOutcome out;
-  out.kind = RoundOutcome::Kind::kSparseUpdate;
-  const std::span<const double> weights = screen_uploads(in, out.validation);
+  const std::span<const double> weights = screen_uploads(in, book, out.validation);
   if (out.validation.degraded) {
     // Degraded round: empty update, no resets, all-zero contributions. The
     // engine holds weights and every client keeps its accumulated mass.
@@ -76,7 +75,7 @@ RoundOutcome TopKMethod::round(const RoundInput& in, std::size_t k) {
     out.contributed.assign(in.client_vectors.size(), 0);
   } else {
     choose({in, k, make_shard_plan(in.client_vectors.size(), shards_), tensor::parallel_pool(),
-            weights},
+            weights, book},
            out);
   }
 
@@ -102,11 +101,11 @@ void TopKMethod::select_uploads(const RoundInput& in, std::size_t k) {
   }
 }
 
-std::span<const double> TopKMethod::screen_uploads(const RoundInput& in,
+std::span<const double> TopKMethod::screen_uploads(const RoundInput& in, bool book,
                                                    ValidationStats& stats) {
   FEDSPARSE_SPAN("pipeline_screen");
   const std::span<const double> eff =
-      validator_.screen(uploads_, in.client_ids, in.data_weights, dim_, in.round, stats);
+      validator_.screen(uploads_, in.client_ids, in.data_weights, dim_, in.round, stats, book);
 #ifdef FEDSPARSE_CONTRACTS
   // Mass conservation across the screen: outside degraded rounds the
   // effective weights must remain a convex combination (sum 1), whether they
@@ -165,11 +164,11 @@ const BucketAggregator& TopKMethod::aggregate(const Pass& p, const BucketAggrega
   // exactly the filter the scatter applied). Serial in slot order — pure and
   // shard-count invariant. Trust is the weighted fraction of contributors
   // that are NOT anti-aligned; anti-aligned clients take a reputation strike
-  // through the validator's quarantine bookkeeping. An honest client with a
-  // divergent gradient can dip below the threshold on a noisy round, so
-  // clean-run trust is high but not pinned at 1.0; the strike/clear pair
-  // below keeps such false positives from ever reaching quarantine (that
-  // takes consecutive suspect rounds).
+  // through the validator's quarantine bookkeeping (not on the probe, which
+  // only scores). An honest client with a divergent gradient can dip below
+  // the threshold on a noisy round, so clean-run trust is high but not
+  // pinned at 1.0; the strike/clear pair below keeps such false positives
+  // from ever reaching quarantine (that takes consecutive suspect rounds).
   double contributing_w = 0.0;
   double aligned_w = 0.0;
   for (std::size_t s = 0; s < uploads_.size(); ++s) {
@@ -196,10 +195,10 @@ const BucketAggregator& TopKMethod::aggregate(const Pass& p, const BucketAggrega
     const std::size_t cid = p.in.client_ids.empty() ? s : p.in.client_ids[s];
     if (anti_aligned) {
       ++stats.suspects;
-      validator_.note_suspect(cid, p.in.round);
+      if (p.book) validator_.note_suspect(cid, p.in.round);
     } else {
       aligned_w += w;
-      validator_.note_aligned(cid, p.in.round);
+      if (p.book) validator_.note_aligned(cid, p.in.round);
     }
   }
   stats.mean_trust = contributing_w > 0.0 ? aligned_w / contributing_w : 1.0;

@@ -40,7 +40,15 @@ namespace fedsparse::sparsify {
 
 class TopKMethod : public Method {
  public:
-  RoundOutcome round(const RoundInput& in, std::size_t k) final;
+  RoundOutcome round(const RoundInput& in, std::size_t k) final { return run(in, k, true); }
+
+  /// The k′ probe: the same round body with booking off. It screens,
+  /// reduces and scores exactly like round() — a what-if of the same round —
+  /// but books no quarantine strikes, so replaying round() alone from a
+  /// recorded log reproduces the run.
+  RoundOutcome probe_round(const RoundInput& in, std::size_t k) final {
+    return run(in, k, false);
+  }
 
   /// Partitions the participants into `shards` contiguous fleets (0 is
   /// treated as 1). A pure scheduling value: every count runs the same
@@ -66,6 +74,7 @@ class TopKMethod : public Method {
     ShardPlan plan;                   // contiguous client partition
     util::ThreadPool* pool;
     std::span<const double> weights;  // effective data weights after screening
+    bool book;                        // false on the k′ probe
   };
 
   std::size_t dim() const noexcept { return dim_; }
@@ -92,7 +101,8 @@ class TopKMethod : public Method {
   /// Stage: sharded aggregation of uploads() into agg() under an optional
   /// membership filter, stamping touched indices with a fresh token. Plain
   /// weighted sum, or — when robust aggregation is configured — the robust
-  /// reduce followed by the cosine reputation pass, whose stats land in
+  /// reduce followed by the cosine reputation pass (booked into the
+  /// validator's quarantine state when p.book), whose stats land in
   /// out.robust. Either way agg()/stamp()/touched buckets end up in the same
   /// shape, so emit/reset stages compose unchanged. The scatter reads the
   /// filter before the reduce writes stamps, so a filter over the previous
@@ -117,6 +127,8 @@ class TopKMethod : public Method {
   /// out.update index-sorted. Payload accounting follows in the base.
   virtual void choose(const Pass& p, RoundOutcome& out) = 0;
 
+  RoundOutcome run(const RoundInput& in, std::size_t k, bool book);
+
   /// Stage: every participant's top-k upload through the per-slot workspaces
   /// + compact per-client hint store (top_k_uploads_fleet), then the input's
   /// tamper hook. Byte-identical at every thread count.
@@ -125,7 +137,8 @@ class TopKMethod : public Method {
   /// Stage: screens uploads() in place and returns the effective data
   /// weights (sparsify/validate.h). Runs after the tamper hook, before
   /// choose(), so poisoned entries never reach a κ search or the arena.
-  std::span<const double> screen_uploads(const RoundInput& in, ValidationStats& stats);
+  std::span<const double> screen_uploads(const RoundInput& in, bool book,
+                                         ValidationStats& stats);
 
   /// Stage: uplink accounting from uploads() (pre-screen sizes — rejected
   /// payloads still spent airtime) and the broadcast downlink from the

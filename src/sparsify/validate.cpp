@@ -43,11 +43,9 @@ bool UploadValidator::quarantined(std::size_t client_id, std::size_t round) cons
 void UploadValidator::note_suspect(std::size_t client_id, std::size_t round) {
   if (cfg_.quarantine_after == 0) return;
   Offender& off = offenders_[client_id];
-  if (off.last_suspect_round == round) return;
   static const util::Counter c_suspects("validate.robust_suspects");
   c_suspects.add(1);
   ++off.suspect_strikes;
-  off.last_suspect_round = round;
   if (off.suspect_strikes >= cfg_.quarantine_after && off.quarantined_until < round) {
     off.quarantined_until = round + cfg_.quarantine_rounds;
     off.suspect_strikes = 0;
@@ -58,14 +56,15 @@ void UploadValidator::note_aligned(std::size_t client_id, std::size_t round) {
   const auto it = offenders_.find(client_id);
   if (it == offenders_.end()) return;
   Offender& off = it->second;
-  if (off.quarantined_until >= round || off.last_suspect_round == round) return;
+  if (off.quarantined_until >= round) return;
   off.suspect_strikes = 0;
 }
 
 std::span<const double> UploadValidator::screen(std::vector<SparseVector>& uploads,
                                                 std::span<const std::size_t> client_ids,
                                                 std::span<const double> weights, std::size_t dim,
-                                                std::size_t round, ValidationStats& stats) {
+                                                std::size_t round, ValidationStats& stats,
+                                                bool book) {
   stats = ValidationStats{};
   stats.checked = uploads.size();
   pre_uplink_.clear();
@@ -111,26 +110,22 @@ std::span<const double> UploadValidator::screen(std::vector<SparseVector>& uploa
     }
   }
 
-  // Strike bookkeeping, idempotent per round: the probe re-screens the same
-  // round number and must not double-count. A clean round clears a
-  // non-quarantined offender's strikes ("repeat" means consecutive rounds).
-  for (std::size_t s = 0; s < n; ++s) {
+  // Strike bookkeeping (skipped by the probe's what-if screen). A clean round
+  // clears a non-quarantined offender's strikes ("repeat" means consecutive
+  // rounds).
+  for (std::size_t s = 0; book && s < n; ++s) {
     const std::size_t id = cid(s);
     if (verdict_[s] == 1) {
       Offender& off = offenders_[id];
-      if (off.last_strike_round != round) {
-        ++off.strikes;
-        off.last_strike_round = round;
-        if (cfg_.quarantine_after > 0 && off.strikes >= cfg_.quarantine_after &&
-            off.quarantined_until < round) {
-          off.quarantined_until = round + cfg_.quarantine_rounds;
-          off.strikes = 0;
-        }
+      ++off.strikes;
+      if (cfg_.quarantine_after > 0 && off.strikes >= cfg_.quarantine_after &&
+          off.quarantined_until < round) {
+        off.quarantined_until = round + cfg_.quarantine_rounds;
+        off.strikes = 0;
       }
     } else if (verdict_[s] == 0) {
       const auto it = offenders_.find(id);
-      if (it != offenders_.end() && it->second.quarantined_until < round &&
-          it->second.last_strike_round != round) {
+      if (it != offenders_.end() && it->second.quarantined_until < round) {
         it->second.strikes = 0;
       }
     }

@@ -87,12 +87,13 @@ class UploadValidator {
   /// rejected slots zeroed and the rest renormalized to sum to 1. On a
   /// degraded round the returned weights are NOT normalized; callers must
   /// check `stats.degraded` before aggregating. `client_ids` empty means
-  /// "slot s is client s". Idempotent per round: probe rounds re-screen the
-  /// same round number without double-counting quarantine strikes.
+  /// "slot s is client s". With `book` false the screen reads quarantine
+  /// state but books no strikes and clears none — the k′ probe's what-if
+  /// re-screen of a round the main screen already booked.
   std::span<const double> screen(std::vector<SparseVector>& uploads,
                                  std::span<const std::size_t> client_ids,
                                  std::span<const double> weights, std::size_t dim,
-                                 std::size_t round, ValidationStats& stats);
+                                 std::size_t round, ValidationStats& stats, bool book = true);
 
   /// Pre-screening uplink size (in values) of slot `s` from the last
   /// screen() call — rejected payloads still spent airtime, so the timing
@@ -108,8 +109,8 @@ class UploadValidator {
   /// aggregate. Tracked separately from rejection strikes — screening cannot
   /// judge these payloads (they are structurally valid), so its clean-round
   /// strike clearing must not erase them; only note_aligned does. Quarantine
-  /// triggers after `quarantine_after` distinct suspect rounds, with the same
-  /// per-round idempotency as screening (probe re-runs never double-count).
+  /// triggers after `quarantine_after` distinct suspect rounds. Called once
+  /// per contributing client and round; the k′ probe books nothing.
   void note_suspect(std::size_t client_id, std::size_t round);
 
   /// Counterpart: client `id` contributed and was NOT anti-aligned this
@@ -121,11 +122,9 @@ class UploadValidator {
   bool structurally_valid(const SparseVector& sv, std::size_t dim);
 
   struct Offender {
-    std::size_t strikes = 0;             // distinct rounds with a rejection
-    std::size_t last_strike_round = 0;   // idempotency guard for probe re-runs
-    std::size_t suspect_strikes = 0;     // distinct anti-aligned rounds (robust stage)
-    std::size_t last_suspect_round = 0;  // idempotency guard for probe re-runs
-    std::size_t quarantined_until = 0;   // inclusive round bound; 0 = not quarantined
+    std::size_t strikes = 0;            // distinct rounds with a rejection
+    std::size_t suspect_strikes = 0;    // distinct anti-aligned rounds (robust stage)
+    std::size_t quarantined_until = 0;  // inclusive round bound; 0 = not quarantined
   };
 
   ValidationConfig cfg_;

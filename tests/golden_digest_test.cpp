@@ -15,7 +15,8 @@
 // values below are frozen: every cell must reproduce them at threads 1/2/8 ×
 // shards auto/1/8, so shard count and thread count stay pure scheduling
 // decisions, and a refactor of the selection, round or apply bodies that
-// moves a single bit fails here.
+// moves a single bit fails here. Each cell's recorded log must also replay
+// (fl/replay.h) with zero mismatches.
 //
 // The baseline cells pin the weight-apply paths: periodic-k's sparse and
 // send-all's dense update on the shared store, and FedAvg's local SGD on
@@ -177,7 +178,12 @@ SimulationConfig cell_config(const Cell& c, std::size_t threads, std::size_t sha
   return cfg;
 }
 
-std::uint64_t run_cell(const Cell& c, std::size_t threads, std::size_t shards) {
+struct CellRun {
+  std::uint64_t digest;
+  ReplayLog log;
+};
+
+CellRun run_cell(const Cell& c, std::size_t threads, std::size_t shards) {
   const SimulationConfig cfg = cell_config(c, threads, shards);
   auto dataset = data::make_synthetic(c.churn ? churn_dataset() : golden_dataset());
   nn::ModelFactory factory = c.churn ? nn::mlp(16, {12}, 4) : nn::mlp(64, {80}, 10);
@@ -215,7 +221,7 @@ std::uint64_t run_cell(const Cell& c, std::size_t threads, std::size_t shards) {
     fold_pod(h, static_cast<float>(rec.global_loss));
   }
   for (const double v : res.client_uplink_values) fold_pod(h, v);
-  return h;
+  return {h, recorder.take()};
 }
 
 // Expected digests, recorded once and frozen (see the header comment).
@@ -226,7 +232,7 @@ const Cell kCells[] = {
     {"fab_sync_faults_fixedk",     "fab_topk", Mode::kSync,  Defense::kFaults,   Control::kFixedK, false, 0x27cefaec909c0c79ull},
     {"fab_sync_faults_alg3",       "fab_topk", Mode::kSync,  Defense::kFaults,   Control::kAlg3,   false, 0xadd8d82588ec8e08ull},
     {"fab_sync_signflip_fixedk",   "fab_topk", Mode::kSync,  Defense::kSignFlip, Control::kFixedK, false, 0x96381445f4e25504ull},
-    {"fab_sync_signflip_alg3",     "fab_topk", Mode::kSync,  Defense::kSignFlip, Control::kAlg3,   false, 0x7853b56b1395aa11ull},
+    {"fab_sync_signflip_alg3",     "fab_topk", Mode::kSync,  Defense::kSignFlip, Control::kAlg3,   false, 0x36b82ab0e54ec6bbull},
     {"fab_async_clean_fixedk",     "fab_topk", Mode::kAsync, Defense::kClean,    Control::kFixedK, false, 0xc25922134f0d8b20ull},
     {"fab_async_clean_alg3",       "fab_topk", Mode::kAsync, Defense::kClean,    Control::kAlg3,   false, 0x8228f0d0dd49c9a5ull},
     {"fab_async_faults_fixedk",    "fab_topk", Mode::kAsync, Defense::kFaults,   Control::kFixedK, false, 0x25052508bb46c266ull},
@@ -238,7 +244,7 @@ const Cell kCells[] = {
     {"fub_sync_faults_fixedk",     "fub_topk", Mode::kSync,  Defense::kFaults,   Control::kFixedK, false, 0xfdb40f2cdbefd159ull},
     {"fub_sync_faults_alg3",       "fub_topk", Mode::kSync,  Defense::kFaults,   Control::kAlg3,   false, 0x1deeae7b2dac4d30ull},
     {"fub_sync_signflip_fixedk",   "fub_topk", Mode::kSync,  Defense::kSignFlip, Control::kFixedK, false, 0xe1f18f1beac600bdull},
-    {"fub_sync_signflip_alg3",     "fub_topk", Mode::kSync,  Defense::kSignFlip, Control::kAlg3,   false, 0x3a9452705f47b508ull},
+    {"fub_sync_signflip_alg3",     "fub_topk", Mode::kSync,  Defense::kSignFlip, Control::kAlg3,   false, 0xfb436ea8f880737full},
     {"fub_async_clean_fixedk",     "fub_topk", Mode::kAsync, Defense::kClean,    Control::kFixedK, false, 0x8c685b59fbae4847ull},
     {"fub_async_clean_alg3",       "fub_topk", Mode::kAsync, Defense::kClean,    Control::kAlg3,   false, 0xf0ac0bb3c0f856a0ull},
     {"fub_async_faults_fixedk",    "fub_topk", Mode::kAsync, Defense::kFaults,   Control::kFixedK, false, 0xa4b1a2827968644cull},
@@ -273,13 +279,26 @@ TEST_P(EngineGoldenDigest, MatchesFrozenDigestAtEveryThreadAndShardCount) {
   const Cell& c = GetParam();
   for (const std::size_t threads : {1u, 2u, 8u}) {
     for (const std::size_t shards : {0u, 1u, 8u}) {  // 0 = auto
-      const std::uint64_t got = run_cell(c, threads, shards);
+      const std::uint64_t got = run_cell(c, threads, shards).digest;
       char hex[32];
       std::snprintf(hex, sizeof hex, "0x%016llxull", static_cast<unsigned long long>(got));
       EXPECT_EQ(got, c.expected) << c.name << " threads=" << threads << " shards=" << shards
                                  << " digest=" << hex;
     }
   }
+}
+
+// Replay drives only Method::round, so the recorded log reproduces every
+// flush only if nothing outside round() — the k' probe included — moved
+// method state the next round reads (quarantine strikes, a selection
+// cursor). One run per cell: threads 1, shards auto.
+TEST_P(EngineGoldenDigest, RecordedLogReplaysWithoutMismatch) {
+  const Cell& c = GetParam();
+  const CellRun run = run_cell(c, /*threads=*/1, /*shards=*/0);
+  ASSERT_FALSE(run.log.rounds.empty()) << c.name;
+  const ReplayResult res = replay(run.log, /*shards=*/1);
+  EXPECT_EQ(res.rounds, run.log.rounds.size()) << c.name;
+  EXPECT_EQ(res.mismatches, 0u) << c.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, EngineGoldenDigest, ::testing::ValuesIn(kCells),
