@@ -166,7 +166,8 @@ class Method {
   /// any later round()'s outcome — replay drives round() alone from a
   /// recorded log. Stateless methods inherit this default. The top-k methods
   /// rerun their round body with quarantine booking off (selection may still
-  /// refresh a client's threshold hint; see TopKWorkspace).
+  /// refresh a client's threshold hint; see TopKWorkspace); periodic-k
+  /// aggregates the first k coordinates of the round's own selection.
   virtual RoundOutcome probe_round(const RoundInput& in, std::size_t k) { return round(in, k); }
 
   /// Splits the server round's client passes into `shards` contiguous shards

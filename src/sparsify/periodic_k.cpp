@@ -16,38 +16,34 @@ void PeriodicK::reshuffle() {
 }
 
 RoundOutcome PeriodicK::probe_round(const RoundInput& in, std::size_t k) {
-  // Snapshot the selection state so the probe does not advance the
-  // permutation pass the real round will consume.
-  const util::Rng saved_rng = rng_;
-  const auto saved_perm = permutation_;
-  const std::size_t saved_cursor = cursor_;
-  RoundOutcome out = round(in, k);
-  rng_ = saved_rng;
-  permutation_ = saved_perm;
-  cursor_ = saved_cursor;
-  return out;
+  validate_round_input(in);
+  k = std::min(std::clamp<std::size_t>(k, 1, dim_), selected_.size());
+  return aggregate(in, {selected_.data(), k});
 }
 
 RoundOutcome PeriodicK::round(const RoundInput& in, std::size_t k) {
   validate_round_input(in);
-  const std::size_t n = in.client_vectors.size();
   k = std::clamp<std::size_t>(k, 1, dim_);
 
   // Next k coordinates of the current permutation pass; reshuffle on wrap so
   // each pass visits every coordinate exactly once.
-  std::vector<std::int32_t> selected;
-  selected.reserve(k);
-  while (selected.size() < k) {
+  selected_.clear();
+  while (selected_.size() < k) {
     if (cursor_ >= dim_) reshuffle();
-    const std::size_t take = std::min(k - selected.size(), dim_ - cursor_);
-    selected.insert(selected.end(), permutation_.begin() + static_cast<std::ptrdiff_t>(cursor_),
-                    permutation_.begin() + static_cast<std::ptrdiff_t>(cursor_ + take));
+    const std::size_t take = std::min(k - selected_.size(), dim_ - cursor_);
+    selected_.insert(selected_.end(), permutation_.begin() + static_cast<std::ptrdiff_t>(cursor_),
+                     permutation_.begin() + static_cast<std::ptrdiff_t>(cursor_ + take));
     cursor_ += take;
   }
+  return aggregate(in, selected_);
+}
 
+RoundOutcome PeriodicK::aggregate(const RoundInput& in,
+                                  std::span<const std::int32_t> selected) const {
+  const std::size_t n = in.client_vectors.size();
   RoundOutcome out;
   out.kind = RoundOutcome::Kind::kSparseUpdate;
-  out.update.reserve(k);
+  out.update.reserve(selected.size());
   for (const std::int32_t j : selected) {
     double b = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -61,10 +57,10 @@ RoundOutcome PeriodicK::round(const RoundInput& in, std::size_t k) {
   // Every client's value for every selected coordinate was aggregated: one
   // shared list serves all n participants instead of n copies of it.
   out.reset_kind = RoundOutcome::ResetKind::kUniform;
-  out.uniform_reset = std::move(selected);
-  out.contributed.assign(n, out.uniform_reset.size());
-  out.uplink_values = 2.0 * static_cast<double>(k);
-  out.downlink_values = 2.0 * static_cast<double>(k);
+  out.uniform_reset.assign(selected.begin(), selected.end());
+  out.contributed.assign(n, selected.size());
+  out.uplink_values = 2.0 * static_cast<double>(selected.size());
+  out.downlink_values = 2.0 * static_cast<double>(selected.size());
   return out;
 }
 

@@ -20,15 +20,21 @@ class PeriodicK final : public Method {
 
   std::string name() const override { return "periodic"; }
   RoundOutcome round(const RoundInput& in, std::size_t k) override;
+
+  /// Aggregates the first k entries of the last round's selection — the
+  /// round just run, truncated to k′ in permutation order — and leaves the
+  /// permutation pass untouched. Empty before the first round.
   RoundOutcome probe_round(const RoundInput& in, std::size_t k) override;
 
  private:
+  RoundOutcome aggregate(const RoundInput& in, std::span<const std::int32_t> selected) const;
+  void reshuffle();
+
   std::size_t dim_;
   util::Rng rng_;
   std::vector<std::int32_t> permutation_;
   std::size_t cursor_ = 0;
-
-  void reshuffle();
+  std::vector<std::int32_t> selected_;  // last round's coordinates, permutation order
 };
 
 }  // namespace fedsparse::sparsify

@@ -265,7 +265,7 @@ const Cell kCells[] = {
     {"uni_async_signflip_alg3",    "unidirectional_topk", Mode::kAsync, Defense::kSignFlip, Control::kAlg3,   false, 0xdbab361e4d5905a3ull},
     {"fab_churn_partial_fixedk",   "fab_topk", Mode::kSync,  Defense::kClean,    Control::kFixedK, true,  0xe64c8c8d4f6fd3f9ull},
     {"periodic_sync_clean_fixedk",    "periodic", Mode::kSync,  Defense::kClean,    Control::kFixedK, false, 0x721b88396163fcc8ull},
-    {"periodic_sync_clean_alg3",      "periodic", Mode::kSync,  Defense::kClean,    Control::kAlg3,   false, 0x5520f2a080fc7e72ull},
+    {"periodic_sync_clean_alg3",      "periodic", Mode::kSync,  Defense::kClean,    Control::kAlg3,   false, 0x331e32e6ca4a18b5ull},
     {"sendall_sync_clean_fixedk",     "send_all", Mode::kSync,  Defense::kClean,    Control::kFixedK, false, 0xdac9ebceb0d7eaa0ull},
     {"fedavg_sync_clean_fixedk",      "fedavg",   Mode::kSync,  Defense::kClean,    Control::kFixedK, false, 0x5d5fe76759113060ull},
     {"fedavg_churn_partial_fixedk",   "fedavg",   Mode::kSync,  Defense::kClean,    Control::kFixedK, true,  0x1fd7e73d15254f9dull},

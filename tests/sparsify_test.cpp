@@ -727,6 +727,33 @@ TEST(PeriodicK, ProbeRoundDoesNotAdvanceState) {
   }
 }
 
+TEST(PeriodicK, ProbeAggregatesAPrefixOfTheRoundsSelection) {
+  // The k' probe is a what-if of the round just run: its coordinates are the
+  // first k' of that round's selection, so update(k) − update(k') keeps
+  // exactly the k − k' coordinates the probe dropped, and the permutation
+  // pass does not advance.
+  const std::size_t dim = 300, k = 100, k_probe = 40;
+  util::Rng rng(29);
+  std::vector<std::vector<float>> vecs{random_vector(dim, rng), random_vector(dim, rng)};
+  PeriodicK a(dim, 11), b(dim, 11);
+  const auto in = make_input(vecs, equal_weights(2));
+  const auto full = a.round(in, k);
+  (void)b.round(in, k);
+  const auto probe = a.probe_round(in, k_probe);
+  ASSERT_EQ(probe.update.size(), k_probe);
+  std::set<std::int32_t> round_coords;
+  for (const auto& e : full.update) round_coords.insert(e.index);
+  for (const auto& e : probe.update) EXPECT_TRUE(round_coords.count(e.index)) << e.index;
+  EXPECT_EQ(sparse_subtract(full.update, probe.update).size(), k - k_probe);
+
+  const auto next_a = a.round(in, k);
+  const auto next_b = b.round(in, k);
+  ASSERT_EQ(next_a.update.size(), next_b.update.size());
+  for (std::size_t i = 0; i < next_a.update.size(); ++i) {
+    EXPECT_EQ(next_a.update[i].index, next_b.update[i].index);
+  }
+}
+
 TEST(SendAll, DenseAggregateAndFullCost) {
   std::vector<std::vector<float>> vecs{{1.0f, 2.0f}, {3.0f, 4.0f}};
   auto sa = make_method("send_all", 2);
