@@ -56,18 +56,14 @@ double QuantizedMethod::rescale(double values) const noexcept {
 }
 
 RoundOutcome QuantizedMethod::round(const RoundInput& in, std::size_t k) {
-  RoundOutcome out = inner_->round(in, k);
-  if (out.kind == RoundOutcome::Kind::kSparseUpdate) {
-    quantizer_.quantize(out.update);
-    out.uplink_values = rescale(out.uplink_values);
-    out.downlink_values = rescale(out.downlink_values);
-    for (auto& v : out.client_uplink_values) v = rescale(v);
-  }
-  return out;
+  return compress(inner_->round(in, k));
 }
 
 RoundOutcome QuantizedMethod::probe_round(const RoundInput& in, std::size_t k) {
-  RoundOutcome out = inner_->probe_round(in, k);
+  return compress(inner_->probe_round(in, k));
+}
+
+RoundOutcome QuantizedMethod::compress(RoundOutcome out) {
   if (out.kind == RoundOutcome::Kind::kSparseUpdate) {
     quantizer_.quantize(out.update);
     out.uplink_values = rescale(out.uplink_values);

@@ -48,7 +48,9 @@ class StochasticQuantizer {
 /// also charged at the quantized width (clients quantize symmetrically in a
 /// real deployment; here the aggregation itself stays exact on the uplink —
 /// only the *accounting* changes — while the downlink values are truly
-/// quantized, which is where the model update error enters).
+/// quantized, which is where the model update error enters). The engine's
+/// configuration (sharding, screening, robust aggregation) and the upload
+/// threshold hints pass through to the wrapped method.
 class QuantizedMethod final : public Method {
  public:
   QuantizedMethod(std::unique_ptr<Method> inner, const QuantizerConfig& cfg);
@@ -58,7 +60,16 @@ class QuantizedMethod final : public Method {
   RoundOutcome round(const RoundInput& in, std::size_t k) override;
   RoundOutcome probe_round(const RoundInput& in, std::size_t k) override;
 
+  void set_sharding(std::size_t shards) override { inner_->set_sharding(shards); }
+  void set_validation(const ValidationConfig& cfg) override { inner_->set_validation(cfg); }
+  void set_robust(const RobustConfig& cfg) override { inner_->set_robust(cfg); }
+  float upload_threshold_hint(std::size_t client_id, std::size_t k) const override {
+    return inner_->upload_threshold_hint(client_id, k);
+  }
+
  private:
+  /// Quantizes a sparse update in place and rescales its accounting.
+  RoundOutcome compress(RoundOutcome out);
   double rescale(double values) const noexcept;
 
   std::unique_ptr<Method> inner_;

@@ -32,6 +32,7 @@
 #include "nn/models.h"
 #include "online/extended_sign_ogd.h"
 #include "sparsify/method.h"
+#include "sparsify/quantize.h"
 #include "sparsify/validate.h"
 
 namespace fedsparse::fl {
@@ -398,6 +399,31 @@ TEST(UploadValidator, QuarantinesRepeatOffendersIdempotently) {
   auto uploads = poisoned();
   v.screen(uploads, ids, weights, 10, 10, stats);
   EXPECT_FALSE(v.quarantined(9, 11));
+}
+
+TEST(QuantizedMethod, ScreensThroughTheWrappedMethod) {
+  // The wrapper forwards the engine's screening config: bit-flipped and NaN
+  // uploads are rejected before they reach the wrapped method's aggregation
+  // arena, exactly as for the bare method.
+  SimulationConfig cfg = base_sim();
+  cfg.max_rounds = 30;
+  cfg.faults.corrupt_prob = 0.2;
+  cfg.faults.seed = 17;
+  cfg.validation.enabled = true;
+
+  auto factory = tiny_model();
+  util::Rng probe(1);
+  const std::size_t dim = factory(probe)->dim();
+  Simulation sim(cfg, data::make_synthetic(tiny_dataset(1)), factory,
+                 std::make_unique<sparsify::QuantizedMethod>(
+                     sparsify::make_method("fab_topk", dim, 5), sparsify::QuantizerConfig{}),
+                 std::make_unique<online::FixedK>(20.0));
+  const auto res = sim.run();
+
+  std::size_t rejected = 0;
+  for (const auto& rec : res.records) rejected += rec.rejected;
+  EXPECT_GT(rejected, 0u);
+  for (const float w : sim.client_weights(0)) ASSERT_TRUE(std::isfinite(w));
 }
 
 // ---------------- zero-fault byte-identity ----------------------------------
