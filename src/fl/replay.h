@@ -9,7 +9,10 @@
 // sparsify::Method::round from the log alone, under any engine configuration
 // (the log is engine-agnostic: sync vs buffered-async, shards 1 vs 8,
 // tiered vs dense all reduce to the same RoundInput → RoundOutcome mapping),
-// and checks the outcome digests byte-for-byte.
+// and checks the outcome digests byte-for-byte. The k′ probe is not logged:
+// Method::probe_round commits nothing a later round() reads (the top-k
+// probe books no quarantine strikes), so Algorithm-3 runs — attacked ones
+// included — replay from round() alone.
 //
 // What makes this sound:
 //   * the recorded weights are post-staleness-fold, so the async engine's

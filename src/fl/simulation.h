@@ -52,9 +52,10 @@ enum class AggregationMode {
   /// arrivals of the round into the flush; later arrivals are buffered and
   /// join the NEXT flush with a staleness discount on their data weight.
   /// τ_m pays only the arrivals it waited for, which is where the wall-clock
-  /// win over the barrier comes from under long-tail stragglers. With
-  /// M = 0 (take everything) and no event triggering the flush IS the
-  /// barrier: traces are byte-identical to kSynchronized (pinned by
+  /// win over the barrier comes from under long-tail stragglers. Both modes
+  /// run the same schedule code; kSynchronized is this mode with M = 0
+  /// (take everything) and no event triggering, so those settings give
+  /// byte-identical traces by construction (the config mapping is pinned by
   /// tests/async_engine_test.cpp).
   kBufferedAsync,
 };

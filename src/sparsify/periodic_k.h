@@ -21,9 +21,9 @@ class PeriodicK final : public Method {
   std::string name() const override { return "periodic"; }
   RoundOutcome round(const RoundInput& in, std::size_t k) override;
 
-  /// Aggregates the first k entries of the last round's selection — the
-  /// round just run, truncated to k′ in permutation order — and leaves the
-  /// permutation pass untouched. Empty before the first round.
+  /// The k′ probe: aggregates the first k coordinates of the last round's
+  /// selection in permutation order — a prefix of the round just run — and
+  /// leaves the permutation pass untouched. Empty before the first round.
   RoundOutcome probe_round(const RoundInput& in, std::size_t k) override;
 
  private:

@@ -47,10 +47,6 @@ void check_selected_uploads(const RoundInput& in, const std::vector<SparseVector
 
 TopKMethod::TopKMethod(std::size_t dim) : dim_(dim), agg_(dim, 0.0f), stamp_(dim, 0) {}
 
-void TopKMethod::set_sharding(std::size_t shards) {
-  shards_ = std::max<std::size_t>(1, shards);
-}
-
 float TopKMethod::upload_threshold_hint(std::size_t client_id, std::size_t k) const {
   if (client_id >= hints_.size()) return 0.0f;
   const ClientHint& hint = hints_[client_id];

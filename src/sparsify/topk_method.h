@@ -24,6 +24,7 @@
 // whole-run outcomes at shards 1/8/auto and threads 1/2/8.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -50,18 +51,11 @@ class TopKMethod : public Method {
     return run(in, k, false);
   }
 
-  /// Partitions the participants into `shards` contiguous fleets (0 is
-  /// treated as 1). A pure scheduling value: every count runs the same
-  /// stages with the same outcome, so it may change between rounds.
-  void set_sharding(std::size_t shards) final;
+  void set_sharding(std::size_t shards) final { shards_ = std::max<std::size_t>(1, shards); }
   void set_validation(const ValidationConfig& cfg) final { validator_.configure(cfg); }
   void set_robust(const RobustConfig& cfg) final { robust_cfg_ = cfg; }
-
-  /// The |value| threshold the next depth-k selection for `client_id` would
-  /// scan with, or 0 when unknown OR when the persisted hint was produced for
-  /// an incompatible k (see hint_compatible in topk.h): after a churn gap the
-  /// controller may have moved k far from where the client last uploaded, and
-  /// its next selection reseeds through the sampled prefilter instead.
+  /// The persisted hint of `client_id`, or 0 when it is missing or was
+  /// produced for a k incompatible with this one (hint_compatible, topk.h).
   float upload_threshold_hint(std::size_t client_id, std::size_t k) const final;
 
  protected:
