@@ -11,8 +11,9 @@
 // tiered vs dense all reduce to the same RoundInput → RoundOutcome mapping),
 // and checks the outcome digests byte-for-byte. The k′ probe is not logged:
 // Method::probe_round commits nothing a later round() reads (the top-k
-// probe books no quarantine strikes), so Algorithm-3 runs — attacked ones
-// included — replay from round() alone.
+// probe books no quarantine strikes and writes no threshold hint), so
+// Algorithm-3 runs — attacked and buffered-async ones included — replay from
+// round() alone.
 //
 // What makes this sound:
 //   * the recorded weights are post-staleness-fold, so the async engine's

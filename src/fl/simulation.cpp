@@ -570,7 +570,10 @@ void Simulation::stage_server_round(RoundContext& ctx) {
 }
 
 void Simulation::stage_probe(RoundContext& ctx) {
-  // (3) Probe selection k'_m (derived before resets touch the accumulators).
+  // (3) The k'_m probe (before resets touch the accumulators). The top-k
+  // methods take the first k'_m entries of each upload of the round just run
+  // instead of selecting again; the probe books nothing, builds no resets and
+  // writes no threshold hint, and only its update is read here.
   const std::vector<std::size_t>& flush = *ctx.flush;
   // A degraded round (screening rejected too many uploads) held the weights:
   // there is no meaningful k vs k' comparison to probe.

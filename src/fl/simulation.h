@@ -329,7 +329,7 @@ class Simulation {
   void stage_compute(RoundContext& ctx);
   /// The server round over the flush set (selection + aggregation).
   void stage_server_round(RoundContext& ctx);
-  /// The k'_m probe selection (before resets touch the accumulators).
+  /// The k'_m probe round (before resets touch the accumulators).
   void stage_probe(RoundContext& ctx);
   /// Applies the global update and consumes transmitted accumulator entries.
   void stage_apply(RoundContext& ctx, SimulationResult& res);

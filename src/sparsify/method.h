@@ -165,9 +165,13 @@ class Method {
   /// `round(in, k)` would produce for the round just run, without changing
   /// any later round()'s outcome — replay drives round() alone from a
   /// recorded log. Stateless methods inherit this default. The top-k methods
-  /// rerun their round body with quarantine booking off (selection may still
-  /// refresh a client's threshold hint; see TopKWorkspace); periodic-k
-  /// aggregates the first k coordinates of the round's own selection.
+  /// take the first k entries of each client's pre-tamper upload from the
+  /// round just run (selection emits them strongest first) and run the rest
+  /// of the round body on them: they select nothing, book no quarantine
+  /// strikes, build no reset lists and write no threshold hint; periodic-k
+  /// aggregates the first k coordinates of the round's own selection. Only
+  /// the outcome's update, payload accounting and validation/robust stats
+  /// are meaningful.
   virtual RoundOutcome probe_round(const RoundInput& in, std::size_t k) { return round(in, k); }
 
   /// Splits the server round's client passes into `shards` contiguous shards

@@ -76,14 +76,14 @@ struct TopKWorkspace {
   /// skipping the sampling pass of the dense O(D) scan (ROADMAP:
   /// prefilter-only first pass for the server round). The hint is replaced
   /// by an at-least-as-deep selection (k >= hint_k) or after it failed to
-  /// filter: a *successful* shallower pass — the k'-probe of the
-  /// derivative-sign estimator, which reruns selection right after the real
-  /// round — keeps the deeper hint intact, while a failed hint always
-  /// refreshes so a stale threshold costs at most one fallback pass before
-  /// self-correcting. The selection stays exact either way: a hinted filter
-  /// that keeps fewer than k entries falls back to the sampled prefilter,
-  /// then to the dense path. 0 = no hint yet (first call, or the last pass
-  /// went dense).
+  /// filter: a *successful* shallower pass keeps the deeper hint intact,
+  /// while a failed hint always refreshes so a stale threshold costs at most
+  /// one fallback pass before self-correcting. (The k'-probe of the
+  /// derivative-sign estimator selects nothing — it takes prefixes of the
+  /// round's uploads — so it never reads or writes a hint.) The selection
+  /// stays exact either way: a hinted filter that keeps fewer than k entries
+  /// falls back to the sampled prefilter, then to the dense path. 0 = no
+  /// hint yet (first call, or the last pass went dense).
   float threshold_hint = 0.0f;
   std::size_t hint_k = 0;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "sparsify/accumulator.h"
 #include "tensor/matrix.h"
@@ -53,13 +54,22 @@ float TopKMethod::upload_threshold_hint(std::size_t client_id, std::size_t k) co
   return hint_compatible(hint.k, k) ? hint.threshold : 0.0f;
 }
 
-RoundOutcome TopKMethod::run(const RoundInput& in, std::size_t k, bool book) {
+RoundOutcome TopKMethod::round(const RoundInput& in, std::size_t k) {
   validate_round_input(in);
   k = std::clamp<std::size_t>(k, 1, dim_);
-
   // Stage: client-side top-k of the accumulated gradient, strongest first.
   select_uploads(in, k);
+  return finish_round(in, k, /*book=*/true);
+}
 
+RoundOutcome TopKMethod::probe_round(const RoundInput& in, std::size_t k) {
+  validate_round_input(in);
+  k = std::clamp<std::size_t>(k, 1, dim_);
+  take_prefixes(in, k);
+  return finish_round(in, k, /*book=*/false);
+}
+
+RoundOutcome TopKMethod::finish_round(const RoundInput& in, std::size_t k, bool book) {
   // Stage: screen the uploads before anything server-side reads them — a
   // poisoned payload must not reach the κ search, let alone the arena.
   RoundOutcome out;
@@ -84,16 +94,47 @@ RoundOutcome TopKMethod::run(const RoundInput& in, std::size_t k, bool book) {
 
 void TopKMethod::select_uploads(const RoundInput& in, std::size_t k) {
   FEDSPARSE_SPAN("pipeline_select");
+  const bool kept = in.tamper != nullptr || validator_.enabled();
+  std::vector<SparseVector>& selected = kept ? selection_ : uploads_;
   top_k_uploads_fleet(in.client_vectors, in.client_chunk_max, k, in.client_ids, slot_ws_, hints_,
-                      uploads_);
+                      selected);
 #ifdef FEDSPARSE_CONTRACTS
-  check_selected_uploads(in, uploads_, dim_);
+  check_selected_uploads(in, selected, dim_);
 #endif
-  if (in.tamper != nullptr) {
-    for (std::size_t s = 0; s < uploads_.size(); ++s) {
-      const std::size_t cid = in.client_ids.empty() ? s : in.client_ids[s];
-      in.tamper->apply(in.round, cid, uploads_[s]);
+  if (kept) {
+    uploads_.resize(selected.size());
+    for (std::size_t s = 0; s < selected.size(); ++s) {
+      uploads_[s].assign(selected[s].begin(), selected[s].end());
     }
+  }
+  prefix_ = {in.round, selected.size(), k, kept};
+  tamper_uploads(in);
+}
+
+void TopKMethod::take_prefixes(const RoundInput& in, std::size_t k) {
+  FEDSPARSE_SPAN("pipeline_select");
+  if (prefix_.depth < k || prefix_.round != in.round ||
+      prefix_.clients != in.client_vectors.size()) {
+    throw std::logic_error("TopKMethod::probe_round: no round at depth >= k for this input");
+  }
+  for (std::size_t s = 0; s < prefix_.clients; ++s) {
+    if (prefix_.kept) {
+      const SparseVector& sel = selection_[s];
+      uploads_[s].assign(sel.begin(), sel.begin() + static_cast<std::ptrdiff_t>(
+                                                         std::min(k, sel.size())));
+    } else if (uploads_[s].size() > k) {
+      uploads_[s].resize(k);
+    }
+  }
+  if (!prefix_.kept) prefix_.depth = k;
+  tamper_uploads(in);
+}
+
+void TopKMethod::tamper_uploads(const RoundInput& in) {
+  if (in.tamper == nullptr) return;
+  for (std::size_t s = 0; s < uploads_.size(); ++s) {
+    const std::size_t cid = in.client_ids.empty() ? s : in.client_ids[s];
+    in.tamper->apply(in.round, cid, uploads_[s]);
   }
 }
 
@@ -203,6 +244,7 @@ const BucketAggregator& TopKMethod::aggregate(const Pass& p, const BucketAggrega
 
 void TopKMethod::build_resets(const Pass& p, const BucketAggregator::Filter& f,
                               RoundOutcome& out) {
+  if (!p.book) return;
   FEDSPARSE_SPAN("pipeline_resets");
   resets_.run(uploads_, p.plan.shards(), p.pool, f, out);
 }

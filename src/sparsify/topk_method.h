@@ -16,7 +16,8 @@
 // body runs at every shard count (S = 1 included). The buffered-async engine
 // (fl/simulation.h) drives the same body — a flush is a round over the
 // arrival buffer, and the synchronized barrier is the flush that accepts
-// every arrival.
+// every arrival. The k′ probe runs the same body from the screen on, over
+// prefixes of the round's selection instead of a second one.
 //
 // Determinism contract: each stage is bit-identical across shard counts and
 // thread counts (see shard_engine.h for the per-stage arguments); the base
@@ -41,15 +42,20 @@ namespace fedsparse::sparsify {
 
 class TopKMethod : public Method {
  public:
-  RoundOutcome round(const RoundInput& in, std::size_t k) final { return run(in, k, true); }
+  RoundOutcome round(const RoundInput& in, std::size_t k) final;
 
-  /// The k′ probe: the same round body with booking off. It screens,
-  /// reduces and scores exactly like round() — a what-if of the same round —
-  /// but books no quarantine strikes, so replaying round() alone from a
-  /// recorded log reproduces the run.
-  RoundOutcome probe_round(const RoundInput& in, std::size_t k) final {
-    return run(in, k, false);
-  }
+  /// The k′ probe of the round just run. Selection emits each client's
+  /// entries strongest first under a total order, so a client's top-k′ is
+  /// the first k′ entries of its pre-tamper top-k upload: the probe takes
+  /// those prefixes instead of selecting again, then tampers, screens,
+  /// chooses, reduces and emits exactly like round(in, k′). It books no
+  /// quarantine strikes, builds no reset lists (its outcome has none) and
+  /// writes no threshold hint, so replaying round() alone from a recorded
+  /// log reproduces the run. Throws std::logic_error unless the last round()
+  /// ran this round's input (same round number and participant count) at a
+  /// depth of at least k′ — and, when the uploads were truncated in place,
+  /// no shallower probe has run since.
+  RoundOutcome probe_round(const RoundInput& in, std::size_t k) final;
 
   void set_sharding(std::size_t shards) final { shards_ = std::max<std::size_t>(1, shards); }
   void set_validation(const ValidationConfig& cfg) final { validator_.configure(cfg); }
@@ -68,7 +74,7 @@ class TopKMethod : public Method {
     ShardPlan plan;                   // contiguous client partition
     util::ThreadPool* pool;
     std::span<const double> weights;  // effective data weights after screening
-    bool book;                        // false on the k′ probe
+    bool book;  // false on the k′ probe: no quarantine strikes, no reset lists
   };
 
   std::size_t dim() const noexcept { return dim_; }
@@ -107,7 +113,8 @@ class TopKMethod : public Method {
 
   /// Stage: client-major CSR reset lists + contributed counts from uploads()
   /// under the same optional filter. Must run BEFORE a later stage re-stamps
-  /// the filter's membership tokens.
+  /// the filter's membership tokens. A no-op on the probe (!p.book): only
+  /// the probe's update is read.
   void build_resets(const Pass& p, const BucketAggregator::Filter& f, RoundOutcome& out);
 
   /// Stage: emit the aggregated update from the last aggregate() call's
@@ -121,12 +128,24 @@ class TopKMethod : public Method {
   /// out.update index-sorted. Payload accounting follows in the base.
   virtual void choose(const Pass& p, RoundOutcome& out) = 0;
 
-  RoundOutcome run(const RoundInput& in, std::size_t k, bool book);
+  /// Everything after the uploads are in place: screen, choose (or the
+  /// degraded bail-out) and payload accounting. Shared by round() and the
+  /// probe; `book` is false on the probe.
+  RoundOutcome finish_round(const RoundInput& in, std::size_t k, bool book);
 
   /// Stage: every participant's top-k upload through the per-slot workspaces
   /// + compact per-client hint store (top_k_uploads_fleet), then the input's
-  /// tamper hook. Byte-identical at every thread count.
+  /// tamper hook. Byte-identical at every thread count. When a tamper hook or
+  /// screening can edit uploads_ in place, the pre-tamper selection is kept
+  /// in selection_ for the probe; otherwise uploads_ is that selection.
   void select_uploads(const RoundInput& in, std::size_t k);
+
+  /// Probe stage: each client's k′ upload as the first k′ entries of its
+  /// pre-tamper selection from the last round(), then the tamper hook.
+  void take_prefixes(const RoundInput& in, std::size_t k);
+
+  /// The input's tamper hook over every upload (no-op without one).
+  void tamper_uploads(const RoundInput& in);
 
   /// Stage: screens uploads() in place and returns the effective data
   /// weights (sparsify/validate.h). Runs after the tamper hook, before
@@ -151,6 +170,19 @@ class TopKMethod : public Method {
   std::vector<TopKWorkspace> slot_ws_;
   std::vector<ClientHint> hints_;
   std::vector<SparseVector> uploads_;
+  // The last round's pre-tamper selection. Filled only when a tamper hook or
+  // screening edits uploads_ in place; otherwise the probe truncates
+  // uploads_ itself and this stays empty (no second N·k copy).
+  std::vector<SparseVector> selection_;
+  // What the probe may take prefixes of: the last round()'s round number,
+  // participant count and the selection depth still available.
+  struct PrefixSource {
+    std::size_t round = 0;
+    std::size_t clients = 0;
+    std::size_t depth = 0;  // 0 = none
+    bool kept = false;      // prefixes come from selection_, not uploads_
+  };
+  PrefixSource prefix_;
   UploadValidator validator_;
   RobustConfig robust_cfg_;
 

@@ -234,11 +234,11 @@ const Cell kCells[] = {
     {"fab_sync_signflip_fixedk",   "fab_topk", Mode::kSync,  Defense::kSignFlip, Control::kFixedK, false, 0x96381445f4e25504ull},
     {"fab_sync_signflip_alg3",     "fab_topk", Mode::kSync,  Defense::kSignFlip, Control::kAlg3,   false, 0x36b82ab0e54ec6bbull},
     {"fab_async_clean_fixedk",     "fab_topk", Mode::kAsync, Defense::kClean,    Control::kFixedK, false, 0xc25922134f0d8b20ull},
-    {"fab_async_clean_alg3",       "fab_topk", Mode::kAsync, Defense::kClean,    Control::kAlg3,   false, 0x8228f0d0dd49c9a5ull},
+    {"fab_async_clean_alg3",       "fab_topk", Mode::kAsync, Defense::kClean,    Control::kAlg3,   false, 0x9c7414362f1f30cbull},
     {"fab_async_faults_fixedk",    "fab_topk", Mode::kAsync, Defense::kFaults,   Control::kFixedK, false, 0x25052508bb46c266ull},
-    {"fab_async_faults_alg3",      "fab_topk", Mode::kAsync, Defense::kFaults,   Control::kAlg3,   false, 0xd31d3c0a797f5f2dull},
+    {"fab_async_faults_alg3",      "fab_topk", Mode::kAsync, Defense::kFaults,   Control::kAlg3,   false, 0x4d84a2452327cb86ull},
     {"fab_async_signflip_fixedk",  "fab_topk", Mode::kAsync, Defense::kSignFlip, Control::kFixedK, false, 0x75b24eac4508af4full},
-    {"fab_async_signflip_alg3",    "fab_topk", Mode::kAsync, Defense::kSignFlip, Control::kAlg3,   false, 0x48eb75ac8dbb5cdbull},
+    {"fab_async_signflip_alg3",    "fab_topk", Mode::kAsync, Defense::kSignFlip, Control::kAlg3,   false, 0xc79910bbd52323efull},
     {"fub_sync_clean_fixedk",      "fub_topk", Mode::kSync,  Defense::kClean,    Control::kFixedK, false, 0x4bb12f3ad5b0aa35ull},
     {"fub_sync_clean_alg3",        "fub_topk", Mode::kSync,  Defense::kClean,    Control::kAlg3,   false, 0xf30db78baca6a7efull},
     {"fub_sync_faults_fixedk",     "fub_topk", Mode::kSync,  Defense::kFaults,   Control::kFixedK, false, 0xfdb40f2cdbefd159ull},
@@ -246,9 +246,9 @@ const Cell kCells[] = {
     {"fub_sync_signflip_fixedk",   "fub_topk", Mode::kSync,  Defense::kSignFlip, Control::kFixedK, false, 0xe1f18f1beac600bdull},
     {"fub_sync_signflip_alg3",     "fub_topk", Mode::kSync,  Defense::kSignFlip, Control::kAlg3,   false, 0xfb436ea8f880737full},
     {"fub_async_clean_fixedk",     "fub_topk", Mode::kAsync, Defense::kClean,    Control::kFixedK, false, 0x8c685b59fbae4847ull},
-    {"fub_async_clean_alg3",       "fub_topk", Mode::kAsync, Defense::kClean,    Control::kAlg3,   false, 0xf0ac0bb3c0f856a0ull},
+    {"fub_async_clean_alg3",       "fub_topk", Mode::kAsync, Defense::kClean,    Control::kAlg3,   false, 0x39bea1f7d92d6adaull},
     {"fub_async_faults_fixedk",    "fub_topk", Mode::kAsync, Defense::kFaults,   Control::kFixedK, false, 0xa4b1a2827968644cull},
-    {"fub_async_faults_alg3",      "fub_topk", Mode::kAsync, Defense::kFaults,   Control::kAlg3,   false, 0x2575b941539454dcull},
+    {"fub_async_faults_alg3",      "fub_topk", Mode::kAsync, Defense::kFaults,   Control::kAlg3,   false, 0x060478c136385c60ull},
     {"fub_async_signflip_fixedk",  "fub_topk", Mode::kAsync, Defense::kSignFlip, Control::kFixedK, false, 0xc7495d2ea5587d1full},
     {"fub_async_signflip_alg3",    "fub_topk", Mode::kAsync, Defense::kSignFlip, Control::kAlg3,   false, 0x097037061dae1d00ull},
     {"uni_sync_clean_fixedk",      "unidirectional_topk", Mode::kSync,  Defense::kClean,    Control::kFixedK, false, 0xc332c882c9ed0ee1ull},
@@ -258,11 +258,11 @@ const Cell kCells[] = {
     {"uni_sync_signflip_fixedk",   "unidirectional_topk", Mode::kSync,  Defense::kSignFlip, Control::kFixedK, false, 0xa77df5d7aad51611ull},
     {"uni_sync_signflip_alg3",     "unidirectional_topk", Mode::kSync,  Defense::kSignFlip, Control::kAlg3,   false, 0xbbebc8a1db0112deull},
     {"uni_async_clean_fixedk",     "unidirectional_topk", Mode::kAsync, Defense::kClean,    Control::kFixedK, false, 0x29b6bccaf05f0b3aull},
-    {"uni_async_clean_alg3",       "unidirectional_topk", Mode::kAsync, Defense::kClean,    Control::kAlg3,   false, 0x04da45c1c78a3cefull},
+    {"uni_async_clean_alg3",       "unidirectional_topk", Mode::kAsync, Defense::kClean,    Control::kAlg3,   false, 0x819ccd4d233eb24eull},
     {"uni_async_faults_fixedk",    "unidirectional_topk", Mode::kAsync, Defense::kFaults,   Control::kFixedK, false, 0x3d680c7572e91418ull},
-    {"uni_async_faults_alg3",      "unidirectional_topk", Mode::kAsync, Defense::kFaults,   Control::kAlg3,   false, 0xd41000641429842full},
+    {"uni_async_faults_alg3",      "unidirectional_topk", Mode::kAsync, Defense::kFaults,   Control::kAlg3,   false, 0xa6b48b1a44c75f8eull},
     {"uni_async_signflip_fixedk",  "unidirectional_topk", Mode::kAsync, Defense::kSignFlip, Control::kFixedK, false, 0xe44b93b8eb189dc7ull},
-    {"uni_async_signflip_alg3",    "unidirectional_topk", Mode::kAsync, Defense::kSignFlip, Control::kAlg3,   false, 0xdbab361e4d5905a3ull},
+    {"uni_async_signflip_alg3",    "unidirectional_topk", Mode::kAsync, Defense::kSignFlip, Control::kAlg3,   false, 0xf6dbf53d46629adeull},
     {"fab_churn_partial_fixedk",   "fab_topk", Mode::kSync,  Defense::kClean,    Control::kFixedK, true,  0xe64c8c8d4f6fd3f9ull},
     {"periodic_sync_clean_fixedk",    "periodic", Mode::kSync,  Defense::kClean,    Control::kFixedK, false, 0x721b88396163fcc8ull},
     {"periodic_sync_clean_alg3",      "periodic", Mode::kSync,  Defense::kClean,    Control::kAlg3,   false, 0x331e32e6ca4a18b5ull},
