@@ -56,16 +56,19 @@ double QuantizedMethod::rescale(double values) const noexcept {
 }
 
 RoundOutcome QuantizedMethod::round(const RoundInput& in, std::size_t k) {
-  return compress(inner_->round(in, k));
+  return compress(inner_->round(in, k), quantizer_);
 }
 
 RoundOutcome QuantizedMethod::probe_round(const RoundInput& in, std::size_t k) {
-  return compress(inner_->probe_round(in, k));
+  // A copy of the quantizer: the probe draws what the next round would, but
+  // leaves the stream the next round() draws from untouched.
+  StochasticQuantizer probe_quantizer = quantizer_;
+  return compress(inner_->probe_round(in, k), probe_quantizer);
 }
 
-RoundOutcome QuantizedMethod::compress(RoundOutcome out) {
+RoundOutcome QuantizedMethod::compress(RoundOutcome out, StochasticQuantizer& quantizer) const {
   if (out.kind == RoundOutcome::Kind::kSparseUpdate) {
-    quantizer_.quantize(out.update);
+    quantizer.quantize(out.update);
     out.uplink_values = rescale(out.uplink_values);
     out.downlink_values = rescale(out.downlink_values);
     for (auto& v : out.client_uplink_values) v = rescale(v);

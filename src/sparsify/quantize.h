@@ -68,8 +68,8 @@ class QuantizedMethod final : public Method {
   }
 
  private:
-  /// Quantizes a sparse update in place and rescales its accounting.
-  RoundOutcome compress(RoundOutcome out);
+  /// Quantizes a sparse update with `quantizer` and rescales its accounting.
+  RoundOutcome compress(RoundOutcome out, StochasticQuantizer& quantizer) const;
   double rescale(double values) const noexcept;
 
   std::unique_ptr<Method> inner_;

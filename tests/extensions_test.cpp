@@ -3,7 +3,9 @@
 // client participation, and heterogeneous client compute times.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <set>
 
@@ -89,6 +91,46 @@ TEST(QuantizedMethod, RescalesCommunicationAccounting) {
   EXPECT_NEAR(out.uplink_values, 8.0 * (1.0 + 5.0 / 32.0), 1e-9);
   EXPECT_LT(out.uplink_values, 16.0);
   EXPECT_EQ(out.update.size(), k);
+}
+
+TEST(QuantizedMethod, ProbeLeavesTheNextRoundsQuantizationDrawsUnchanged) {
+  // Round m, its k' probe, then round m+1 must quantize round m+1 exactly as
+  // the same run without the probe: the probe draws from a copy of the
+  // quantizer stream.
+  const std::size_t dim = 64, k = 12, k_probe = 5;
+  util::Rng rng(9);
+  std::vector<std::vector<float>> vecs(3, std::vector<float>(dim));
+  for (auto& v : vecs) {
+    for (auto& x : v) x = static_cast<float>(rng.normal());
+  }
+  std::vector<double> weights{0.25, 0.25, 0.5};
+  const auto input = [&](std::size_t m) {
+    sparsify::RoundInput in;
+    in.dim = dim;
+    in.round = m;
+    in.data_weights = {weights.data(), weights.size()};
+    for (const auto& v : vecs) in.client_vectors.push_back({v.data(), v.size()});
+    return in;
+  };
+  const auto make = [&] {
+    return sparsify::QuantizedMethod(std::make_unique<sparsify::FabTopK>(dim),
+                                     sparsify::QuantizerConfig{});
+  };
+  auto probed = make();
+  auto plain = make();
+  const auto first = probed.round(input(1), k);
+  EXPECT_EQ(plain.round(input(1), k).update, first.update);
+  const auto probe = probed.probe_round(input(1), k_probe);
+  EXPECT_EQ(probe.update.size(), k_probe);
+  const auto next_probed = probed.round(input(2), k);
+  const auto next_plain = plain.round(input(2), k);
+  ASSERT_EQ(next_probed.update.size(), next_plain.update.size());
+  for (std::size_t i = 0; i < next_plain.update.size(); ++i) {
+    EXPECT_EQ(next_probed.update[i].index, next_plain.update[i].index);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(next_probed.update[i].value),
+              std::bit_cast<std::uint32_t>(next_plain.update[i].value))
+        << i;
+  }
 }
 
 TEST(QuantizedMethod, StillConvergesInTraining) {
