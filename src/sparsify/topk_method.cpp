@@ -107,17 +107,17 @@ void TopKMethod::select_uploads(const RoundInput& in, std::size_t k) {
       uploads_[s].assign(selected[s].begin(), selected[s].end());
     }
   }
-  prefix_ = {in.round, selected.size(), k, kept};
+  prefix_ = {in.round, k, kept};
   tamper_uploads(in);
 }
 
 void TopKMethod::take_prefixes(const RoundInput& in, std::size_t k) {
   FEDSPARSE_SPAN("pipeline_select");
   if (prefix_.depth < k || prefix_.round != in.round ||
-      prefix_.clients != in.client_vectors.size()) {
+      uploads_.size() != in.client_vectors.size()) {
     throw std::logic_error("TopKMethod::probe_round: no round at depth >= k for this input");
   }
-  for (std::size_t s = 0; s < prefix_.clients; ++s) {
+  for (std::size_t s = 0; s < uploads_.size(); ++s) {
     if (prefix_.kept) {
       const SparseVector& sel = selection_[s];
       uploads_[s].assign(sel.begin(), sel.begin() + static_cast<std::ptrdiff_t>(

@@ -174,11 +174,10 @@ class TopKMethod : public Method {
   // screening edits uploads_ in place; otherwise the probe truncates
   // uploads_ itself and this stays empty (no second N·k copy).
   std::vector<SparseVector> selection_;
-  // What the probe may take prefixes of: the last round()'s round number,
-  // participant count and the selection depth still available.
+  // What the probe may take prefixes of: the last round()'s round number
+  // and the selection depth still available (one prefix per uploads_ slot).
   struct PrefixSource {
     std::size_t round = 0;
-    std::size_t clients = 0;
     std::size_t depth = 0;  // 0 = none
     bool kept = false;      // prefixes come from selection_, not uploads_
   };
