@@ -67,14 +67,4 @@ double Client::probe_loss_now(nn::Sequential& model) {
   return model.forward_loss(probe_x_, probe_y_);
 }
 
-double Client::full_local_loss(nn::Sequential& model, std::size_t max_samples, util::Rng& rng) {
-  if (max_samples == 0 || dataset_.size() <= max_samples) {
-    return model.forward_loss(dataset_.x, dataset_.y);
-  }
-  std::vector<std::size_t> idx(max_samples);
-  for (auto& v : idx) v = rng.uniform_u64(dataset_.size());
-  const data::Dataset sub = dataset_.subset(idx);
-  return model.forward_loss(sub.x, sub.y);
-}
-
 }  // namespace fedsparse::fl

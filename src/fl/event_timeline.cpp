@@ -10,7 +10,6 @@ void EventTimeline::seal() {
     if (a.kind != b.kind) return static_cast<std::uint8_t>(a.kind) < static_cast<std::uint8_t>(b.kind);
     return a.client < b.client;
   });
-  sealed_ = true;
 }
 
 }  // namespace fedsparse::fl

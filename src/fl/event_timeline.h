@@ -48,12 +48,11 @@ struct Event {
 
 class EventTimeline {
  public:
-  void clear() noexcept { events_.clear(); sealed_ = false; }
+  void clear() noexcept { events_.clear(); }
 
   /// Appends an event (any order); call seal() before reading.
   void push(double time, EventKind kind, std::size_t client) {
     events_.push_back(Event{time, kind, client});
-    sealed_ = false;
   }
 
   /// Establishes the total (time, kind, client) order. Stable by
@@ -63,11 +62,9 @@ class EventTimeline {
 
   std::span<const Event> events() const noexcept { return {events_.data(), events_.size()}; }
   std::size_t size() const noexcept { return events_.size(); }
-  bool sealed() const noexcept { return sealed_; }
 
  private:
   std::vector<Event> events_;
-  bool sealed_ = false;
 };
 
 }  // namespace fedsparse::fl

@@ -128,10 +128,6 @@ double NetworkModel::uplink_time(std::size_t i, double values) const {
   return nominal_.comm_part(values, 0.0) / realized_[i].uplink_rate;
 }
 
-double NetworkModel::downlink_time(std::size_t i, double values) const {
-  return nominal_.comm_part(0.0, values) / realized_[i].downlink_rate;
-}
-
 RoundTiming NetworkModel::round_time(std::span<const std::size_t> ids,
                                      std::span<const double> uplink_values_per_slot,
                                      double legacy_uplink_values,

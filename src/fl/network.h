@@ -129,9 +129,8 @@ class NetworkModel {
   double downlink_rate(std::size_t i) const;
   double compute_time(std::size_t i) const;
 
-  /// Time for client i to transmit `values` payload values up / down.
+  /// Time for client i to transmit `values` payload values up.
   double uplink_time(std::size_t i, double values) const;
-  double downlink_time(std::size_t i, double values) const;
 
   /// τ_m over the participating clients. `uplink_values_per_slot` is aligned
   /// with `ids` (slot s belongs to client ids[s]); `legacy_uplink_values` is

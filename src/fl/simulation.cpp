@@ -1081,12 +1081,4 @@ std::pair<std::int64_t, std::size_t> SimulationResult::modal_straggler() const {
   return modal;
 }
 
-std::vector<std::pair<double, double>> SimulationResult::accuracy_curve() const {
-  std::vector<std::pair<double, double>> out;
-  for (const auto& r : records) {
-    if (!std::isnan(r.accuracy)) out.emplace_back(r.time, r.accuracy);
-  }
-  return out;
-}
-
 }  // namespace fedsparse::fl

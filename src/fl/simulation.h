@@ -232,9 +232,8 @@ struct SimulationResult {
   bool reached_target = false;
   std::size_t invalid_probe_rounds = 0;  // rounds where ŝ_m was unavailable
 
-  /// Loss/accuracy series at eval rounds as (time, value) pairs.
+  /// Loss series at eval rounds as (time, loss) pairs.
   std::vector<std::pair<double, double>> loss_curve() const;
-  std::vector<std::pair<double, double>> accuracy_curve() const;
 
   /// Mean of the second half of the k-sequence — "where the controller
   /// settled", the number scenario comparisons report.

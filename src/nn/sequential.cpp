@@ -112,11 +112,4 @@ void Sequential::sgd_step(float lr) noexcept {
   for (std::size_t i = 0; i < wspan_.size(); ++i) wspan_[i] -= lr * grads_[i];
 }
 
-std::string Sequential::describe() const {
-  std::string out = "Sequential[in=" + std::to_string(in_features_) + "]";
-  for (const auto& layer : layers_) out += " -> " + layer->name();
-  out += " (D=" + std::to_string(dim()) + ")";
-  return out;
-}
-
 }  // namespace fedsparse::nn

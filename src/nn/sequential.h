@@ -80,8 +80,6 @@ class Sequential {
   /// Dense SGD step: w -= lr * grad().
   void sgd_step(float lr) noexcept;
 
-  std::string describe() const;
-
  private:
   /// `for_grad` tells layers whether backward() will follow, so inference
   /// paths (evaluation, probe losses, predict) skip backward-only caches.

@@ -34,7 +34,6 @@ class SignOgd : public KController {
 
   double delta() const;  // δ_m for the upcoming update
   std::size_t round_index() const noexcept { return m_; }
-  double search_width() const noexcept { return kmax_ - kmin_; }  // B
 
  protected:
   double project(double k) const;

@@ -50,7 +50,6 @@ class GradientAccumulator {
   explicit GradientAccumulator(std::size_t dim);
 
   std::size_t dim() const noexcept { return a_.size(); }
-  std::size_t num_chunks() const noexcept { return chunk_max_.size(); }
 
   /// a_i += grad (dimension-checked). Vectorized in 8-lane stripes; 8-lane
   /// groups whose source values are all (±)zero are skipped without touching

@@ -136,12 +136,6 @@ std::vector<std::uint64_t> merge_topk_sorted_runs(
   return out;
 }
 
-std::size_t BucketAggregator::total_touched() const noexcept {
-  std::size_t total = 0;
-  for (const auto& t : bucket_touched_) total += t.size();
-  return total;
-}
-
 std::size_t BucketAggregator::scatter(const std::vector<SparseVector>& uploads,
                                       std::span<const double> weights, std::size_t dim,
                                       std::size_t shards, util::ThreadPool* pool,

@@ -151,8 +151,6 @@ class BucketAggregator {
   std::span<const std::int32_t> touched(std::size_t b) const noexcept {
     return {bucket_touched_[b].data(), bucket_touched_[b].size()};
   }
-  /// Total aggregated entries across buckets (Σ touched sizes).
-  std::size_t total_touched() const noexcept;
 
  private:
   struct Entry {

@@ -1,7 +1,6 @@
 #include "sparsify/sparse_vector.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace fedsparse::sparsify {
@@ -26,12 +25,6 @@ void axpy_sparse(float alpha, const SparseVector& sv, std::span<float> dst) {
 void sort_by_index(SparseVector& sv) {
   std::sort(sv.begin(), sv.end(),
             [](const SparseEntry& a, const SparseEntry& b) { return a.index < b.index; });
-}
-
-double l1_norm(const SparseVector& sv) {
-  double s = 0.0;
-  for (const auto& e : sv) s += std::fabs(static_cast<double>(e.value));
-  return s;
 }
 
 SparseVector sparse_subtract(const SparseVector& a, const SparseVector& b) {

@@ -28,9 +28,6 @@ void axpy_sparse(float alpha, const SparseVector& sv, std::span<float> dst);
 /// Sorts entries by index ascending (canonical order for comparison).
 void sort_by_index(SparseVector& sv);
 
-/// Sum of |value| over entries.
-double l1_norm(const SparseVector& sv);
-
 /// a − b over the union of indices; both inputs must be sorted by index.
 /// Entries whose difference is exactly zero are dropped. Used to derive the
 /// k'-element probe update from the k-element one (w' = w + η·(a − b) terms).

@@ -98,18 +98,5 @@ inline bool any_lane(v8si m) {
 #endif
 }
 
-/// Horizontal maximum of the 8 lanes (same NaN caveat as max8).
-inline float reduce_max8(v8sf v) {
-  float l[kLanes];
-  std::memcpy(l, &v, sizeof l);
-  const float a = l[0] > l[1] ? l[0] : l[1];
-  const float b = l[2] > l[3] ? l[2] : l[3];
-  const float c = l[4] > l[5] ? l[4] : l[5];
-  const float d = l[6] > l[7] ? l[6] : l[7];
-  const float ab = a > b ? a : b;
-  const float cd = c > d ? c : d;
-  return ab > cd ? ab : cd;
-}
-
 }  // namespace fedsparse::util::vec
 #endif  // GNUC || clang
