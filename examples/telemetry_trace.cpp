@@ -1,14 +1,18 @@
 // Telemetry walkthrough: run a small FAB-top-k training with the telemetry
-// subsystem enabled, dump a Chrome trace + round-metrics JSONL, and print the
-// registry's counters and gauges at the end of the run.
+// subsystem enabled, dump a Chrome trace + round-metrics JSONL (one line per
+// RoundRecord), and print the registry's counters and gauges at the end of
+// the run.
 //
 //   ./examples/telemetry_trace [--rounds=60] [--out=telemetry_out]
 //
 // Afterwards:
 //   python3 scripts/trace_summary.py telemetry_out/metrics.jsonl \
 //       --chrome telemetry_out/trace.json
-// and load telemetry_out/trace.json in chrome://tracing or
-// https://ui.perfetto.dev to see the per-stage / per-shard span tracks.
+// prints each stage's self and inclusive time per round from the trace, with
+// the k' probe's pipeline stages apart from the server round's, and exits
+// non-zero when the spans do not add up to a round's wall time. Load
+// telemetry_out/trace.json in chrome://tracing or https://ui.perfetto.dev to
+// see the per-stage / per-shard span tracks.
 #include <cstdio>
 #include <filesystem>
 
@@ -47,7 +51,8 @@ int main(int argc, char** argv) {
                 result.final_loss, result.final_accuracy);
 
     // The registry keeps its cumulative totals after the run — scrape and
-    // print them. (The per-round values live in metrics.jsonl.)
+    // print them. (The round records' own fields, such as k, traffic, faults
+    // and rejections, live only in metrics.jsonl.)
     std::printf("\n%-32s %-10s %s\n", "metric", "kind", "value");
     for (const auto& s : util::MetricRegistry::instance().scrape()) {
       const char* kind = s.kind == util::MetricKind::kCounter  ? "counter"

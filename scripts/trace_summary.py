@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
-"""Summarize a fedsparse round-metrics JSONL trace (fl/trace.h).
+"""Summarize a fedsparse telemetry run (fl/trace.h).
 
-Prints a per-stage wall-time table (from each round's "stages_us" span
-totals) and the top-N counters/gauges from the final round's registry scrape.
-Optionally validates a Chrome trace-event JSON file emitted alongside it.
+With --chrome, reduces the Chrome trace with e2e_bench/trace_reduce.py and
+prints, per round, each stage's self and inclusive ms, the pipeline_* spans
+filed under the stage that ran them (round/ for stage_server_round, probe/
+for stage_probe), the time between stages, and each row's share of wall
+time. Then prints the top-N counters and the gauges of the final JSONL row.
+Exits non-zero on malformed input and when any round's spans differ from its
+wall time by more than 1%.
 
 Usage:
   trace_summary.py METRICS.jsonl [--top N] [--chrome TRACE.json]
@@ -16,6 +20,12 @@ import os
 import signal
 import sys
 import tempfile
+
+E2E = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "e2e_bench")
+sys.path.insert(0, E2E)
+import trace_reduce  # noqa: E402
+
+TOLERANCE_PCT = 1.0
 
 
 def load_jsonl(path):
@@ -34,33 +44,50 @@ def load_jsonl(path):
     return rows
 
 
-def stage_table(rows):
-    """Aggregates stages_us over all rounds -> [(stage, total_us, rounds_seen)]."""
-    totals = {}
-    seen = {}
-    for row in rows:
-        for stage, us in row.get("stages_us", {}).items():
-            totals[stage] = totals.get(stage, 0.0) + float(us)
-            seen[stage] = seen.get(stage, 0) + 1
-    return sorted(
-        ((s, totals[s], seen[s]) for s in totals), key=lambda t: t[1], reverse=True
-    )
+def reduce_trace(path):
+    """{round: trace_reduce.reduce_round(...)}; exits with a message when the
+    trace is malformed or its spans do not add up to a round's wall time."""
+    try:
+        rounds = trace_reduce.load_rounds(path)
+        reduced = {m: trace_reduce.reduce_round(rounds[m]) for m in sorted(rounds)}
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise SystemExit(f"{path}: malformed trace: {e!r}")
+    if not reduced:
+        raise SystemExit(f"{path}: no complete ('X') span events")
+    pct = {m: trace_reduce.share_sum_pct(r) for m, r in reduced.items()}
+    off = [f"{m}: {p:.1f}%" for m, p in pct.items() if abs(p - 100.0) > TOLERANCE_PCT]
+    if off:
+        raise SystemExit(f"{path}: spans do not add up to wall time in round(s) "
+                         + ", ".join(off[:5]))
+    return reduced
 
 
-def print_stage_table(rows, out=sys.stdout):
-    table = stage_table(rows)
-    if not table:
-        print("no span data (telemetry ran without stages_us)", file=out)
-        return
-    grand = sum(t[1] for t in table)
-    print(f"per-stage wall time over {len(rows)} rounds:", file=out)
-    print(f"  {'stage':<24} {'total ms':>10} {'mean us/round':>14} {'share':>7}", file=out)
-    for stage, total_us, n in table:
-        share = 100.0 * total_us / grand if grand > 0 else 0.0
-        print(
-            f"  {stage:<24} {total_us / 1000.0:>10.3f} {total_us / n:>14.1f} {share:>6.1f}%",
-            file=out,
-        )
+def stage_table(reduced):
+    """-> ([(row, self_us, incl_us or None)], wall_us), summed over rounds:
+    stages in trace order, then the nested rows by phase, then unspanned."""
+    self_us, incl_us, nested = {}, {}, {}
+    wall = unspanned = 0.0
+    for r in reduced.values():
+        wall += r["wall_us"]
+        unspanned += r["unspanned_us"]
+        for name, us in r["stage_self_us"].items():
+            self_us[name] = self_us.get(name, 0.0) + us
+            incl_us[name] = incl_us.get(name, 0.0) + r["stage_incl_us"][name]
+        for (phase, name), us in r["nested_self_us"].items():
+            nested[f"{phase}/{name}"] = nested.get(f"{phase}/{name}", 0.0) + us
+    rows = [(name, us, incl_us[name]) for name, us in self_us.items()]
+    rows += [(key, nested[key], None) for key in sorted(nested)]
+    return rows + [("(unspanned)", unspanned, None)], wall
+
+
+def print_stage_table(reduced, out=sys.stdout):
+    rows, wall = stage_table(reduced)
+    n = len(reduced)
+    print(f"per-round time over {n} rounds ({wall / n / 1000.0:.3f} ms wall per round):", file=out)
+    print(f"  {'span':<32} {'self ms':>9} {'incl ms':>9} {'share':>7}", file=out)
+    for name, us, incl in rows + [("total", sum(r[1] for r in rows), None)]:
+        incl_ms = f"{incl / n / 1000.0:>9.3f}" if incl is not None else f"{'':>9}"
+        print(f"  {name:<32} {us / n / 1000.0:>9.3f} {incl_ms} {100.0 * us / wall:>6.1f}%", file=out)
 
 
 def print_top_counters(rows, top, out=sys.stdout):
@@ -78,73 +105,40 @@ def print_top_counters(rows, top, out=sys.stdout):
             print(f"  {name:<40} {float(v):>16.4f}" if v is not None else f"  {name:<40} {'n/a':>16}", file=out)
 
 
-def validate_chrome(path, out=sys.stdout):
-    """Validates a Chrome trace-event JSON file; returns spans-per-track."""
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        raise SystemExit(f"{path}: missing traceEvents array")
-    tracks = {}
-    names = {}
-    for e in events:
-        ph = e.get("ph")
-        if ph == "M" and e.get("name") == "thread_name":
-            names[e.get("tid")] = e.get("args", {}).get("name", "?")
-        elif ph == "X":
-            for key in ("name", "ts", "dur", "pid", "tid"):
-                if key not in e:
-                    raise SystemExit(f"{path}: complete event missing '{key}': {e}")
-            tracks[e["tid"]] = tracks.get(e["tid"], 0) + 1
-    if not tracks:
-        raise SystemExit(f"{path}: no complete ('X') span events")
-    print(f"\n{path}: valid Chrome trace, {len(events)} events:", file=out)
-    for tid in sorted(tracks):
-        print(f"  track {names.get(tid, tid):<24} {tracks[tid]:>8} spans", file=out)
-    return {names.get(tid, tid): n for tid, n in tracks.items()}
-
-
 def smoke():
-    """Self-check: synthesize a tiny trace pair, summarize, assert the math."""
-    rows = [
-        {
-            "round": m,
-            "time": 10.0 * m,
-            "stages_us": {"stage_compute": 100.0 * m, "stage_server_round": 50.0},
-            "counters": {"fl.rounds": m, "fl.participants": 4 * m},
-            "gauges": {"fl.k_used": 20.0},
-        }
-        for m in (1, 2, 3)
-    ]
+    """Self-check on the reducer's fixture trace and a synthesized JSONL."""
+    fixture = os.path.join(E2E, "tests", "fixture_trace.json")
+    rows, wall = stage_table(reduce_trace(fixture))
+    table = {name: us for name, us, _ in rows}
+    # Round 1 runs pipeline_select in the server round and again in the probe.
+    assert table["round/pipeline_select"] == 18.0, table
+    assert table["probe/pipeline_select"] == 19.0, table
+    assert abs(sum(table.values()) - wall) < 1e-6, (table, wall)
+
+    with open(fixture, encoding="utf-8") as f:
+        doc = json.load(f)
+    for e in doc["traceEvents"]:  # round 1's probe now starts inside the server round
+        if e["ph"] == "X" and e["name"] == "stage_probe" and e["args"]["round"] == 1:
+            e["ts"] -= 10
     with tempfile.TemporaryDirectory() as d:
+        for name, text in (("overlap.json", json.dumps(doc)), ("broken.json", '{"traceEvents": [')):
+            path = os.path.join(d, name)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            try:
+                reduce_trace(path)
+                raise AssertionError(f"{name} was accepted")
+            except SystemExit as e:
+                assert path in str(e.code), e.code
+
         jsonl = os.path.join(d, "metrics.jsonl")
         with open(jsonl, "w", encoding="utf-8") as f:
-            for row in rows:
-                f.write(json.dumps(row) + "\n")
+            f.writelines(json.dumps({"round": m, "counters": {"validate.checked": 4 * m}}) + "\n"
+                         for m in (1, 2, 3))
         loaded = load_jsonl(jsonl)
-        table = dict((s, t) for s, t, _ in stage_table(loaded))
-        assert abs(table["stage_compute"] - 600.0) < 1e-9, table
-        assert abs(table["stage_server_round"] - 150.0) < 1e-9, table
-        assert loaded[-1]["counters"]["fl.participants"] == 12
-
-        chrome = os.path.join(d, "trace.json")
-        with open(chrome, "w", encoding="utf-8") as f:
-            json.dump(
-                {
-                    "traceEvents": [
-                        {"name": "thread_name", "ph": "M", "pid": 1, "tid": 0,
-                         "args": {"name": "stage_compute"}},
-                        {"name": "stage_compute", "cat": "round", "ph": "X", "ts": 1.0,
-                         "dur": 100.0, "pid": 1, "tid": 0, "args": {"round": 1}},
-                    ]
-                },
-                f,
-            )
-        per_track = validate_chrome(chrome)
-        assert per_track == {"stage_compute": 1}, per_track
-
-        print_stage_table(loaded)
-        print_top_counters(loaded, top=5)
+        assert loaded[-1]["counters"]["validate.checked"] == 12
+    print_stage_table(reduce_trace(fixture))
+    print_top_counters(loaded, top=5)
     print("trace_summary smoke OK")
 
 
@@ -153,7 +147,7 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("jsonl", nargs="?", help="round-metrics JSONL file")
     ap.add_argument("--top", type=int, default=10, help="counters to show (default 10)")
-    ap.add_argument("--chrome", help="also validate this Chrome trace-event JSON file")
+    ap.add_argument("--chrome", help="Chrome trace-event JSON file to reduce")
     ap.add_argument("--smoke", action="store_true", help="run the self-check and exit")
     args = ap.parse_args()
 
@@ -163,10 +157,11 @@ def main():
     if not args.jsonl:
         ap.error("JSONL path required (or --smoke)")
     rows = load_jsonl(args.jsonl)
-    print_stage_table(rows)
-    print_top_counters(rows, args.top)
     if args.chrome:
-        validate_chrome(args.chrome)
+        print_stage_table(reduce_trace(args.chrome))
+    else:
+        print("span times need the Chrome trace: pass --chrome TRACE.json")
+    print_top_counters(rows, args.top)
 
 
 if __name__ == "__main__":

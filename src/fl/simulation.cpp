@@ -859,52 +859,16 @@ bool Simulation::stage_record(RoundContext& ctx, SimulationResult& res, double t
   return out_of_time;
 }
 
-void Simulation::emit_telemetry(const RoundContext& ctx, const SimulationResult& res,
-                                double time) {
-  // Function-local statics register each metric once per process; every
-  // Simulation publishes into the same registry totals.
-  static const util::Gauge g_k_cont("fl.k_continuous");
-  static const util::Gauge g_k_used("fl.k_used");
-  static const util::Gauge g_online("fl.online_clients");
+void Simulation::emit_telemetry(const RoundContext& ctx, const SimulationResult& res) {
+  // Only what no RoundRecord field holds goes to the registry; the record
+  // itself is the JSONL row. Function-local statics register each metric once
+  // per process; every Simulation publishes into the same registry totals.
   static const util::Gauge g_pending("fl.pending_uploads");
-  static const util::Gauge g_mean_staleness("fl.mean_staleness");
-  static const util::Counter c_rounds("fl.rounds");
-  static const util::Counter c_participants("fl.participants");
-  static const util::Counter c_uplink("fl.uplink_values");
-  static const util::Counter c_downlink("fl.downlink_values");
-  static const util::Counter c_dropped("fl.faults.dropped");
-  static const util::Counter c_corrupted("fl.faults.corrupted");
-  static const util::Counter c_byzantine("fl.faults.byzantine");
-  static const util::Counter c_rejected("fl.validation.rejected");
-  static const util::Counter c_quarantined("fl.validation.quarantined");
-  static const util::Counter c_degraded("fl.validation.degraded_rounds");
-  static const util::Counter c_suspects("fl.robust.suspects");
-  static const util::Gauge g_trust("fl.robust.mean_trust");
   static const util::Histogram h_staleness("fl.staleness",
                                            {0.0, 1.0, 2.0, 4.0, 8.0, 16.0});
 
   const RoundRecord& rec = res.records.back();
-  const std::size_t online = network_.heterogeneous() && network_.has_churn()
-                                 ? network_.online_ids().size()
-                                 : clients_.size();
-  g_k_cont.set(rec.k_continuous);
-  g_k_used.set(static_cast<double>(rec.k_used));
-  g_online.set(static_cast<double>(online));
   g_pending.set(static_cast<double>(pending_ids_.size()));
-  g_mean_staleness.set(rec.mean_staleness);
-  c_rounds.add(1);
-  c_participants.add(rec.participants);
-  c_uplink.add(static_cast<std::uint64_t>(std::llround(
-      std::max(0.0, rec.uplink_values * static_cast<double>(rec.participants)))));
-  c_downlink.add(static_cast<std::uint64_t>(std::llround(std::max(0.0, rec.downlink_values))));
-  if (rec.dropped > 0) c_dropped.add(rec.dropped);
-  if (rec.corrupted > 0) c_corrupted.add(rec.corrupted);
-  if (rec.byzantine > 0) c_byzantine.add(rec.byzantine);
-  if (rec.rejected > 0) c_rejected.add(rec.rejected);
-  if (rec.quarantined > 0) c_quarantined.add(rec.quarantined);
-  if (rec.degraded) c_degraded.add(1);
-  if (rec.suspects > 0) c_suspects.add(rec.suspects);
-  g_trust.set(rec.trust);
   for (const FaultEvent& e : fault_events_) publish_fault_event(e.kind);
   for (std::size_t s = 0; s < rec.participants; ++s) {
     h_staleness.observe(static_cast<double>(ctx.staleness[s]));
@@ -917,31 +881,10 @@ void Simulation::emit_telemetry(const RoundContext& ctx, const SimulationResult&
                                timeline_.events());
   }
   if (jsonl_writer_ != nullptr) {
-    MetricsJsonlWriter::Row row;
-    row.round = rec.round;
-    row.time = time;
-    row.k_continuous = rec.k_continuous;
-    row.k_used = rec.k_used;
-    row.train_loss = rec.train_loss;
-    row.global_loss = rec.global_loss;
-    row.uplink_values = rec.uplink_values;
-    row.uplink_bytes = values_to_bytes(rec.uplink_values);
-    row.downlink_values = rec.downlink_values;
-    row.downlink_bytes = values_to_bytes(rec.downlink_values);
-    row.participants = rec.participants;
-    row.online = online;
-    row.mean_staleness = rec.mean_staleness;
-    row.max_staleness = rec.max_staleness;
-    row.dropped = rec.dropped;
-    row.corrupted = rec.corrupted;
-    row.byzantine = rec.byzantine;
-    row.rejected = rec.rejected;
-    row.quarantined = rec.quarantined;
-    row.degraded = rec.degraded;
-    row.suspects = rec.suspects;
-    row.trust = rec.trust;
-    jsonl_writer_->write_round(row, {span_scratch_.data(), span_scratch_.size()},
-                               util::MetricRegistry::instance().scrape());
+    const std::size_t online = network_.heterogeneous() && network_.has_churn()
+                                   ? network_.online_ids().size()
+                                   : clients_.size();
+    jsonl_writer_->write_round(rec, online, util::MetricRegistry::instance().scrape());
   }
 }
 
@@ -1006,7 +949,7 @@ SimulationResult Simulation::run() {
       FEDSPARSE_SPAN("stage_record");
       stop = stage_record(ctx, res, time);
     }
-    if (telemetry) emit_telemetry(ctx, res, time);
+    if (telemetry) emit_telemetry(ctx, res);
     if (stop) break;
   }
 

@@ -337,9 +337,10 @@ class Simulation {
   /// Record + periodic evaluation; returns true when the run should stop.
   bool stage_record(RoundContext& ctx, SimulationResult& res, double time);
   /// Telemetry tail of a round (cfg_.telemetry.enabled only): publishes the
-  /// round's gauges/counters/staleness histogram, drains the span sinks, and
-  /// streams the Chrome-trace / JSONL files when paths were configured.
-  void emit_telemetry(const RoundContext& ctx, const SimulationResult& res, double time);
+  /// pending-upload gauge, the staleness histogram and the fault events,
+  /// drains the span sinks, and streams the Chrome-trace / JSONL files when
+  /// paths were configured.
+  void emit_telemetry(const RoundContext& ctx, const SimulationResult& res);
 
   void evaluate(RoundRecord& rec);
   std::span<const float> global_weights();

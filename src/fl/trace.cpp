@@ -1,9 +1,8 @@
 #include "fl/trace.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
 
+#include "fl/simulation.h"
 #include "util/logging.h"
 
 namespace fedsparse::fl {
@@ -55,30 +54,6 @@ const char* event_kind_name(EventKind kind) {
 }
 
 }  // namespace
-
-std::vector<StageTotal> stage_totals(std::span<const util::Span> spans) {
-  std::vector<StageTotal> out;
-  for (const util::Span& s : spans) {
-    StageTotal* hit = nullptr;
-    for (StageTotal& t : out) {
-      if (std::strcmp(t.track, s.track) == 0) {
-        hit = &t;
-        break;
-      }
-    }
-    if (hit == nullptr) {
-      out.push_back({s.track, 0.0, 0});
-      hit = &out.back();
-    }
-    hit->total_us += s.dur_us;
-    ++hit->count;
-  }
-  // Name order, so the aggregation is independent of span timing.
-  std::sort(out.begin(), out.end(), [](const StageTotal& a, const StageTotal& b) {
-    return std::strcmp(a.track, b.track) < 0;
-  });
-  return out;
-}
 
 // ---------------------------------------------------------- Chrome trace ---
 
@@ -167,7 +142,7 @@ bool MetricsJsonlWriter::open(const std::string& path) {
   return true;
 }
 
-void MetricsJsonlWriter::write_round(const Row& row, std::span<const util::Span> spans,
+void MetricsJsonlWriter::write_round(const RoundRecord& rec, std::size_t online,
                                      const std::vector<util::MetricSample>& scrape) {
   if (f_ == nullptr) return;
   std::string line = "{";
@@ -178,36 +153,28 @@ void MetricsJsonlWriter::write_round(const Row& row, std::span<const util::Span>
     line += "\":";
     line += value;
   };
-  field("round", std::to_string(row.round));
-  field("time", json_number(row.time));
-  field("k_continuous", json_number(row.k_continuous));
-  field("k_used", std::to_string(row.k_used));
-  field("train_loss", json_number(row.train_loss));
-  field("global_loss", json_number(row.global_loss));
-  field("uplink_values", json_number(row.uplink_values));
-  field("uplink_bytes", json_number(row.uplink_bytes));
-  field("downlink_values", json_number(row.downlink_values));
-  field("downlink_bytes", json_number(row.downlink_bytes));
-  field("participants", std::to_string(row.participants));
-  field("online", std::to_string(row.online));
-  field("mean_staleness", json_number(row.mean_staleness));
-  field("max_staleness", std::to_string(row.max_staleness));
-  field("dropped", std::to_string(row.dropped));
-  field("corrupted", std::to_string(row.corrupted));
-  field("byzantine", std::to_string(row.byzantine));
-  field("rejected", std::to_string(row.rejected));
-  field("quarantined", std::to_string(row.quarantined));
-  field("degraded", row.degraded ? "true" : "false");
-  field("suspects", std::to_string(row.suspects));
-  field("trust", json_number(row.trust));
-
-  std::string stages = "{";
-  for (const StageTotal& t : stage_totals(spans)) {
-    if (stages.size() > 1) stages += ",";
-    stages += "\"" + json_escape(t.track) + "\":" + json_number(t.total_us);
-  }
-  stages += "}";
-  field("stages_us", stages);
+  field("round", std::to_string(rec.round));
+  field("time", json_number(rec.time));
+  field("k_continuous", json_number(rec.k_continuous));
+  field("k_used", std::to_string(rec.k_used));
+  field("train_loss", json_number(rec.train_loss));
+  field("global_loss", json_number(rec.global_loss));
+  field("uplink_values", json_number(rec.uplink_values));
+  field("uplink_bytes", json_number(values_to_bytes(rec.uplink_values)));
+  field("downlink_values", json_number(rec.downlink_values));
+  field("downlink_bytes", json_number(values_to_bytes(rec.downlink_values)));
+  field("participants", std::to_string(rec.participants));
+  field("online", std::to_string(online));
+  field("mean_staleness", json_number(rec.mean_staleness));
+  field("max_staleness", std::to_string(rec.max_staleness));
+  field("dropped", std::to_string(rec.dropped));
+  field("corrupted", std::to_string(rec.corrupted));
+  field("byzantine", std::to_string(rec.byzantine));
+  field("rejected", std::to_string(rec.rejected));
+  field("quarantined", std::to_string(rec.quarantined));
+  field("degraded", rec.degraded ? "true" : "false");
+  field("suspects", std::to_string(rec.suspects));
+  field("trust", json_number(rec.trust));
 
   std::string counters = "{", gauges = "{";
   const auto sub = [](std::string& obj, const std::string& key, const std::string& value) {

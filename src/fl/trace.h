@@ -14,10 +14,12 @@
 //    EventTimeline entry on a dedicated "timeline" track. Tracks map to tids
 //    in first-appearance order, so the eight stage_* tracks, the pipeline_*
 //    tracks and the per-shard tracks each get their own row in
-//    chrome://tracing / Perfetto.
-//  * MetricsJsonlWriter emits one JSON object per round: the round-record
-//    scalars, per-stage span totals ("stages_us"), and the registry scrape's
-//    counters and gauges — everything scripts/trace_summary.py consumes.
+//    chrome://tracing / Perfetto. The spans are the only record of where a
+//    round's time went; e2e_bench/trace_reduce.py turns them into self and
+//    inclusive time per stage (scripts/trace_summary.py prints its table).
+//  * MetricsJsonlWriter emits one JSON object per round: the RoundRecord's
+//    fields plus realized bytes and the online count, and the registry
+//    scrape's counters and gauges.
 #pragma once
 
 #include <cstdio>
@@ -30,6 +32,8 @@
 
 namespace fedsparse::fl {
 
+struct RoundRecord;
+
 /// Telemetry knobs on SimulationConfig. Default off: the run is pinned
 /// byte-identical to a build without telemetry. When enabled, spans and
 /// metrics are collected every round; each non-empty path additionally
@@ -39,17 +43,6 @@ struct TelemetryConfig {
   std::string chrome_trace_path;   // per-round Chrome trace-event JSON
   std::string metrics_jsonl_path;  // per-round metrics JSONL
 };
-
-/// Aggregated wall time per span track within one drain, in track name order.
-struct StageTotal {
-  const char* track = nullptr;
-  double total_us = 0.0;
-  std::size_t count = 0;
-};
-
-/// Groups a drained (sorted) span batch by track. Deterministic: the drain
-/// order is pinned, and totals are summed in that order.
-std::vector<StageTotal> stage_totals(std::span<const util::Span> spans);
 
 class ChromeTraceWriter {
  public:
@@ -83,34 +76,6 @@ class ChromeTraceWriter {
 
 class MetricsJsonlWriter {
  public:
-  /// The per-round scalars exported to JSONL (a flat mirror of RoundRecord
-  /// plus realized bytes; kept separate so this header does not depend on
-  /// simulation.h).
-  struct Row {
-    std::size_t round = 0;
-    double time = 0.0;
-    double k_continuous = 0.0;
-    std::size_t k_used = 0;
-    double train_loss = 0.0;
-    double global_loss = 0.0;  // NaN when the round was not evaluated
-    double uplink_values = 0.0;
-    double uplink_bytes = 0.0;
-    double downlink_values = 0.0;
-    double downlink_bytes = 0.0;
-    std::size_t participants = 0;
-    std::size_t online = 0;
-    double mean_staleness = 0.0;
-    std::size_t max_staleness = 0;
-    std::size_t dropped = 0;
-    std::size_t corrupted = 0;
-    std::size_t byzantine = 0;
-    std::size_t rejected = 0;
-    std::size_t quarantined = 0;
-    bool degraded = false;
-    std::size_t suspects = 0;
-    double trust = 1.0;
-  };
-
   MetricsJsonlWriter() = default;
   ~MetricsJsonlWriter();
   MetricsJsonlWriter(const MetricsJsonlWriter&) = delete;
@@ -119,10 +84,11 @@ class MetricsJsonlWriter {
   bool open(const std::string& path);
   bool is_open() const noexcept { return f_ != nullptr; }
 
-  /// One line: the row's scalars, "stages_us" from the spans, and the
+  /// One line: the record's scalars (global_loss is null when the round was
+  /// not evaluated), uplink/downlink bytes, `online` clients, and the
   /// scrape's counters/gauges (histograms export their total count plus
   /// per-bucket counts under "<name>.le_<bound>" / "<name>.overflow").
-  void write_round(const Row& row, std::span<const util::Span> spans,
+  void write_round(const RoundRecord& rec, std::size_t online,
                    const std::vector<util::MetricSample>& scrape);
 
   void close();

@@ -134,15 +134,18 @@ std::span<const double> UploadValidator::screen(std::vector<SparseVector>& uploa
   const std::size_t bad = stats.rejected + stats.quarantined;
   stats.valid_fraction = static_cast<double>(n - bad) / static_cast<double>(n);
 
-  // Telemetry: the defense's verdicts per screen. All no-ops while disabled.
-  static const util::Counter c_checked("validate.checked");
-  static const util::Counter c_rejected("validate.rejected");
-  static const util::Counter c_clipped("validate.clipped");
-  static const util::Counter c_quarantined("validate.quarantined");
-  c_checked.add(stats.checked);
-  if (stats.rejected > 0) c_rejected.add(stats.rejected);
-  if (stats.clipped > 0) c_clipped.add(stats.clipped);
-  if (stats.quarantined > 0) c_quarantined.add(stats.quarantined);
+  // Telemetry: the defense's verdicts per booked screen; the probe's what-if
+  // screen repeats the round's and is not counted. No-ops while disabled.
+  if (book) {
+    static const util::Counter c_checked("validate.checked");
+    static const util::Counter c_rejected("validate.rejected");
+    static const util::Counter c_clipped("validate.clipped");
+    static const util::Counter c_quarantined("validate.quarantined");
+    c_checked.add(stats.checked);
+    if (stats.rejected > 0) c_rejected.add(stats.rejected);
+    if (stats.clipped > 0) c_clipped.add(stats.clipped);
+    if (stats.quarantined > 0) c_quarantined.add(stats.quarantined);
+  }
 
   if (bad == 0) return weights;  // clipping alone leaves weights untouched
 
@@ -164,7 +167,7 @@ std::span<const double> UploadValidator::screen(std::vector<SparseVector>& uploa
 
   if (stats.valid_fraction < cfg_.min_valid_fraction || total <= 0.0) {
     static const util::Counter c_degraded("validate.degraded_screens");
-    c_degraded.add(1);
+    if (book) c_degraded.add(1);
     stats.degraded = true;
     return {eff_weights_.data(), eff_weights_.size()};
   }

@@ -88,8 +88,9 @@ class UploadValidator {
   /// degraded round the returned weights are NOT normalized; callers must
   /// check `stats.degraded` before aggregating. `client_ids` empty means
   /// "slot s is client s". With `book` false the screen reads quarantine
-  /// state but books no strikes and clears none — the k′ probe's what-if
-  /// re-screen of a round the main screen already booked.
+  /// state but books no strikes, clears none and publishes no validate.*
+  /// counters — the k′ probe's what-if re-screen of a round the main screen
+  /// already booked.
   std::span<const double> screen(std::vector<SparseVector>& uploads,
                                  std::span<const std::size_t> client_ids,
                                  std::span<const double> weights, std::size_t dim,

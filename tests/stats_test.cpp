@@ -4,11 +4,13 @@
 // the telemetry PR — an enabled run is byte-identical to a disabled run (the
 // instrumentation may read clocks and bump integers but never perturb the
 // simulation), and the emitted Chrome trace carries one complete span per
-// pipeline stage per round.
+// pipeline stage per round — plus the JSONL row contents and the validate.*
+// counters agreeing with the round records.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -21,6 +23,7 @@
 #include "fl/simulation.h"
 #include "nn/models.h"
 #include "online/controller.h"
+#include "online/extended_sign_ogd.h"
 #include "sparsify/method.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -346,6 +349,24 @@ std::size_t count_occurrences(const std::string& hay, const std::string& needle)
   return n;
 }
 
+// The keys of a one-line JSON object, in order (nested objects skipped).
+std::vector<std::string> top_level_keys(const std::string& line) {
+  std::vector<std::string> keys;
+  int depth = 0;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    if (line[i] == '{') ++depth;
+    if (line[i] == '}') --depth;
+    if (line[i] != '"') continue;
+    std::string text;
+    for (++i; i < line.size() && line[i] != '"'; ++i) {
+      if (line[i] == '\\') ++i;
+      text += line[i];
+    }
+    if (depth == 1 && i + 1 < line.size() && line[i + 1] == ':') keys.push_back(text);
+  }
+  return keys;
+}
+
 TEST(TelemetryExport, ChromeTraceHasOneSpanPerStagePerRound) {
   TelemetryGuard guard;
   const std::string tag = ::testing::TempDir() + "stats_export";
@@ -378,9 +399,65 @@ TEST(TelemetryExport, ChromeTraceHasOneSpanPerStagePerRound) {
   EXPECT_EQ(count_occurrences(jsonl, "\n"), res.rounds_run);
   EXPECT_EQ(count_occurrences(jsonl, "{\"round\":"), res.rounds_run);
   EXPECT_GE(count_occurrences(jsonl, "\"uplink_bytes\":"), res.rounds_run);
+  // Each line is written from the round's RoundRecord, and span time lives
+  // only in the Chrome trace: every line carries exactly these keys.
+  const std::vector<std::string> keys = {
+      "round", "time", "k_continuous", "k_used", "train_loss", "global_loss",
+      "uplink_values", "uplink_bytes", "downlink_values", "downlink_bytes", "participants",
+      "online", "mean_staleness", "max_staleness", "dropped", "corrupted", "byzantine",
+      "rejected", "quarantined", "degraded", "suspects", "trust", "counters", "gauges"};
+  std::istringstream lines(jsonl);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_EQ(top_level_keys(line), keys) << line;
+  }
 
   std::remove(on.chrome_trace_path.c_str());
   std::remove(on.metrics_jsonl_path.c_str());
+}
+
+// The validate.* counters count the round's screen only: Algorithm 3's k′
+// probe screens the same flush again without booking it, and that screen
+// must not be counted a second time.
+TEST(TelemetryExport, ValidateCountersMatchRoundRecords) {
+  TelemetryGuard guard;
+  util::MetricRegistry::instance().reset();
+  fl::SimulationConfig cfg;
+  cfg.lr = 0.05f;
+  cfg.batch = 8;
+  cfg.max_rounds = 30;
+  cfg.comm_time = 5.0;
+  cfg.eval_every = 10;
+  cfg.eval_samples_per_client = 0;
+  cfg.eval_test_samples = 0;
+  cfg.threads = 2;
+  cfg.seed = 7;
+  cfg.faults.corrupt_prob = 0.2;
+  cfg.faults.seed = 17;
+  cfg.validation.enabled = true;
+  cfg.telemetry.enabled = true;
+  auto factory = nn::mlp(16, {12}, 4);
+  util::Rng probe(1);
+  const std::size_t dim = factory(probe)->dim();
+  fl::Simulation sim(cfg, data::make_synthetic(tele_dataset()), factory,
+                     sparsify::make_method("fab_topk", dim, 5),
+                     std::make_unique<online::ExtendedSignOgd>(online::ExtendedSignOgd::Config{
+                         2.0, static_cast<double>(dim), 0.0, 1.5, 10}));
+  const auto res = sim.run();
+
+  std::size_t participants = 0, rejected = 0, quarantined = 0;
+  for (const fl::RoundRecord& rec : res.records) {
+    participants += rec.participants;
+    rejected += rec.rejected;
+    quarantined += rec.quarantined;
+  }
+  ASSERT_GT(rejected, 0u) << "the fault draw must exercise the screen";
+  std::map<std::string, double> counters;
+  for (const util::MetricSample& m : util::MetricRegistry::instance().scrape()) {
+    if (m.kind == util::MetricKind::kCounter) counters[m.name] = m.value;
+  }
+  EXPECT_EQ(counters["validate.checked"], static_cast<double>(participants));
+  EXPECT_EQ(counters["validate.rejected"], static_cast<double>(rejected));
+  EXPECT_EQ(counters["validate.quarantined"], static_cast<double>(quarantined));
 }
 
 }  // namespace
