@@ -1,11 +1,12 @@
 // Emits BENCH_micro.json: before/after timings of every kernel this repo's
-// per-round hot path runs — top-k selection (seed heap vs quickselect), GEMM
-// (seed scalar triple loop vs blocked 4x-unrolled kernel), Linear and Conv2d
-// forward+backward (seed scalar loops vs the GEMM-routed layers), accumulator
-// adds, and the FAB-top-k server round. Self-contained (std::chrono, no
-// google benchmark) so CI can produce the JSON artifact on any box. The JSON
-// opens with a "host" manifest (core count, CPU model, compiler, flags, build
-// type, git sha) naming the build that produced the numbers.
+// per-round hot path runs — top-k selection (seed heap vs the production
+// selection at D = 1M and D = 54k), GEMM (seed scalar triple loop vs blocked
+// 4x-unrolled kernel), Linear and Conv2d forward+backward (seed scalar loops
+// vs the GEMM-routed layers), accumulator adds, and the FAB-top-k server
+// round. Self-contained (std::chrono, no google benchmark) so CI can produce
+// the JSON artifact on any box. The JSON opens with a "host" manifest (core
+// count, CPU model, compiler, flags, build type, git sha) naming the build
+// that produced the numbers.
 //
 // Usage: emit_json [output_path] [--quick]
 //   output_path defaults to BENCH_micro.json in the current directory.
@@ -132,6 +133,31 @@ void bench_topk(std::vector<KernelResult>& out) {
                           sparsify::top_k_entries(vs, k, ws, result);
                           do_not_optimize(result);
                         }));
+
+  // Hinted client selection at the benchmark model's D = 54,270, as a round
+  // with a persisted hint runs it: the hint admits about 2k survivors (all D
+  // at k/D = 0.5), which the cut and the magnitude radix reduce to k.
+  const std::size_t dm = 54270;
+  const auto vm = random_vec(dm, 2);
+  const std::span<const float> vms{vm.data(), vm.size()};
+  std::vector<float> mags(dm);
+  for (std::size_t i = 0; i < dm; ++i) mags[i] = std::fabs(vm[i]);
+  std::sort(mags.begin(), mags.end(), std::greater<float>());
+  for (const auto& [kd, tag] : {std::pair{0.05, "0.05"}, std::pair{0.5, "0.5"}}) {
+    const auto km = static_cast<std::size_t>(kd * static_cast<double>(dm));
+    const float hint = mags[std::min(2 * km, dm) - 1];
+    const std::string heap = std::string("topk_heap_D54k_kd") + tag;
+    out.push_back(measure(heap, "", static_cast<double>(dm), [&] {
+      do_not_optimize(sparsify::top_k_entries_heap(vms, km));
+    }));
+    out.push_back(measure(std::string("topk_hinted_D54k_kd") + tag, heap, static_cast<double>(dm),
+                          [&] {
+                            ws.threshold_hint = hint;
+                            ws.hint_k = km;
+                            sparsify::top_k_entries(vms, km, ws, result);
+                            do_not_optimize(result);
+                          }));
+  }
 }
 
 void bench_gemm(std::vector<KernelResult>& out) {

@@ -6,11 +6,14 @@ prints, per round, each stage's self and inclusive ms, the pipeline_* spans
 filed under the stage that ran them (round/ for stage_server_round, probe/
 for stage_probe), the time between stages, and each row's share of wall
 time. Then prints the top-N counters and the gauges of the final JSONL row.
-Exits non-zero on malformed input and when any round's spans differ from its
-wall time by more than 1%.
+With --diff, prints the per-round self time of every stage and pipeline span
+in two Chrome traces and the change from the first to the second, the round/
+and probe/ pipelines in separate sections. Exits non-zero on malformed input
+and when any round's spans differ from its wall time by more than 1%.
 
 Usage:
   trace_summary.py METRICS.jsonl [--top N] [--chrome TRACE.json]
+  trace_summary.py --diff BEFORE.json AFTER.json
   trace_summary.py --smoke        # self-check (run under ctest)
 """
 
@@ -90,6 +93,44 @@ def print_stage_table(reduced, out=sys.stdout):
         print(f"  {name:<32} {us / n / 1000.0:>9.3f} {incl_ms} {100.0 * us / wall:>6.1f}%", file=out)
 
 
+def per_round_self_ms(path):
+    """-> ({row: self ms per round}, wall ms per round) of a Chrome trace."""
+    reduced = reduce_trace(path)
+    rows, wall = stage_table(reduced)
+    n = len(reduced)
+    return {name: us / n / 1000.0 for name, us, _ in rows}, wall / n / 1000.0
+
+
+def print_diff(before_path, after_path, out=sys.stdout):
+    """Prints per-round self ms of both traces and their difference, stages
+    first, then the round/ and probe/ pipeline rows; returns
+    [(row, before_ms, after_ms)] with the wall time last."""
+    before, wall_before = per_round_self_ms(before_path)
+    after, wall_after = per_round_self_ms(after_path)
+    names = list(before) + [name for name in after if name not in before]
+    sections = (("stages", [n for n in names if "/" not in n]),
+                ("round/ pipeline (inside stage_server_round)",
+                 [n for n in names if n.startswith("round/")]),
+                ("probe/ pipeline (inside stage_probe)",
+                 [n for n in names if n.startswith("probe/")]))
+    print(f"per-round self ms: A = {before_path}, B = {after_path}", file=out)
+    print(f"  {'span':<32} {'A':>9} {'B':>9} {'B - A':>9} {'change':>8}", file=out)
+    table = []
+
+    def row(name, a, b):
+        table.append((name, a, b))
+        change = f"{100.0 * (b - a) / a:>+7.1f}%" if a > 0 else f"{'n/a':>8}"
+        print(f"  {name:<32} {a:>9.3f} {b:>9.3f} {b - a:>+9.3f} {change}", file=out)
+
+    for title, names_in in sections:
+        if names_in:
+            print(f" {title}:", file=out)
+        for name in names_in:
+            row(name, before.get(name, 0.0), after.get(name, 0.0))
+    row("wall", wall_before, wall_after)
+    return table
+
+
 def print_top_counters(rows, top, out=sys.stdout):
     last = rows[-1]
     counters = last.get("counters", {})
@@ -139,6 +180,11 @@ def smoke():
         assert loaded[-1]["counters"]["validate.checked"] == 12
     print_stage_table(reduce_trace(fixture))
     print_top_counters(loaded, top=5)
+    table = print_diff(fixture, fixture)
+    assert all(a == b for _, a, b in table), table
+    names = [name for name, _, _ in table]
+    assert names.index("round/pipeline_select") < names.index("probe/pipeline_select"), names
+    assert names[-1] == "wall", names
     print("trace_summary smoke OK")
 
 
@@ -148,11 +194,16 @@ def main():
     ap.add_argument("jsonl", nargs="?", help="round-metrics JSONL file")
     ap.add_argument("--top", type=int, default=10, help="counters to show (default 10)")
     ap.add_argument("--chrome", help="Chrome trace-event JSON file to reduce")
+    ap.add_argument("--diff", nargs=2, metavar=("BEFORE", "AFTER"),
+                    help="compare the per-round self times of two Chrome traces")
     ap.add_argument("--smoke", action="store_true", help="run the self-check and exit")
     args = ap.parse_args()
 
     if args.smoke:
         smoke()
+        return
+    if args.diff:
+        print_diff(*args.diff)
         return
     if not args.jsonl:
         ap.error("JSONL path required (or --smoke)")

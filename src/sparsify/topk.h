@@ -3,11 +3,15 @@
 // The per-round, per-client hot path of every top-k GS method. The production
 // path is a threshold prefilter — seeded by the caller's previous k-th
 // magnitude when a workspace persists across rounds, else by a strided
-// sample — followed by std::nth_element quickselect: O(D) expected work
-// versus the O(D log D) client sort the paper argues against (Section III-B)
-// and the O(D log k) heap of the seed implementation. Ties are broken deterministically (larger |value| first,
-// then smaller index), which keeps whole simulations bit-reproducible; the
-// selected set is exact (identical to a full sort) regardless of sampling.
+// sample — that collects the survivors in ascending index order. A histogram
+// of the top magnitude digit then cuts the survivors down to the digits that
+// can hold the k-th value, and a stable LSD radix on the 31 magnitude bits
+// sorts what is left: O(D) work, against the O(D log D) client sort the
+// paper argues against (Section III-B) and the O(D log k) heap of the seed
+// implementation. Ties are broken deterministically (larger |value| first,
+// then smaller index — the stable sort keeps the collection's index order),
+// which keeps whole simulations bit-reproducible; the selected set is exact
+// (identical to a full sort) regardless of sampling.
 //
 // Chunk-tiered entry points: every overload taking a `chunk_max` span
 // composes with the tiered GradientAccumulator (sparsify/accumulator.h).
@@ -55,19 +59,17 @@ struct ClientHint {
   std::uint32_t k = 0;
 };
 
-/// Reusable scratch for the quickselect path. One workspace per caller
-/// (not thread-safe); capacity grows to the largest candidate set seen and
-/// is then reused, so steady-state rounds allocate nothing.
+/// Reusable scratch for the selection. One workspace per caller (not
+/// thread-safe); capacity grows to the largest survivor set seen and is then
+/// reused, so steady-state rounds allocate nothing. The selection itself is
+/// written straight into the caller's output.
 struct TopKWorkspace {
-  SparseVector candidates;  // the selected (index, value) pairs, strongest first
-
-  /// Surviving candidates under selection, packed as 64-bit keys:
-  /// (|value| bits << 32) | ~index. IEEE magnitude order matches unsigned
-  /// integer order on the high word and the complemented index makes plain
-  /// descending uint64 order exactly the (|v| desc, index asc) total order —
-  /// nth_element/sort run on POD integers instead of branchy float compares.
-  std::vector<std::uint64_t> keys;
-  std::vector<std::uint64_t> key_scratch;  // radix-sort ping-pong buffer
+  /// The threshold scan's survivors, (index, value) in ascending index
+  /// order; the cut compacts them in place. IEEE magnitude order matches
+  /// unsigned integer order on the 31 |value| bits, so the radix sorts those
+  /// bits as integers.
+  SparseVector survivors;
+  SparseVector scratch;  // radix ping-pong buffer
 
   /// The k-th |value| of a recent selection through this workspace, and the
   /// k that produced it. When it persists across rounds (directly, or through
@@ -83,15 +85,13 @@ struct TopKWorkspace {
   /// round's uploads — so it never reads or writes a hint.) The selection
   /// stays exact either way: a hinted filter that keeps fewer than k entries
   /// falls back to the sampled prefilter, then to the dense path. 0 = no
-  /// hint yet (first call, or the last pass went dense).
+  /// hint (first call, or the k-th magnitude was zero).
   float threshold_hint = 0.0f;
   std::size_t hint_k = 0;
 
   /// Total capacity currently held, in 8-byte entries — observable by tests
   /// that assert the steady state stops allocating.
-  std::size_t capacity() const noexcept {
-    return candidates.capacity() + keys.capacity() + key_scratch.capacity();
-  }
+  std::size_t capacity() const noexcept { return survivors.capacity() + scratch.capacity(); }
 };
 
 /// Writes the k largest-|v| entries into `out` as (index, value) pairs in
@@ -137,12 +137,14 @@ SparseVector top_k_entries(std::span<const float> v, std::size_t k);
 
 /// Seed implementation: bounded min-heap, O(D log k). Retained as the
 /// reference for equivalence tests and as the "before" side of the
-/// BENCH_micro.json kernel comparison.
+/// BENCH_micro.json kernel comparisons.
 SparseVector top_k_entries_heap(std::span<const float> v, std::size_t k);
 
-/// Sorts keys descending (LSD radix above ~512 elements, std::sort below).
-/// Keys are assumed unique; `scratch` is the radix ping-pong buffer.
-/// Exported for the sharded engine's per-shard candidate runs.
+/// Sorts 64-bit (|value| bits << 32 | ~index) keys (sparsify/keys.h)
+/// descending: LSD radix above ~512 elements, std::sort below. Keys are
+/// assumed unique; `scratch` is the radix ping-pong buffer. Its callers are
+/// FAB's fill and FUB's per-shard candidate runs, whose keys are not in index
+/// order; client selection sorts magnitudes instead.
 void sort_keys_desc(std::vector<std::uint64_t>& keys, std::vector<std::uint64_t>& scratch);
 
 }  // namespace fedsparse::sparsify

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "sparsify/accumulator.h"
 #include "sparsify/fab_topk.h"
@@ -87,7 +89,7 @@ TEST(TopK, DeterministicTieBreakPrefersSmallIndex) {
   EXPECT_EQ(idx[1], 1);
 }
 
-// Quickselect path vs the retained seed heap: identical (index, value)
+// Production path vs the retained seed heap: identical (index, value)
 // sequences across dimension regimes (empty, single, k-boundary, prefilter
 // territory), heavy ties, and k >= D.
 TEST(TopK, QuickselectMatchesHeapAcrossSizes) {
@@ -165,6 +167,161 @@ TEST(TopK, ThresholdHintStaysExactAcrossMutatingRounds) {
   v[9000] = -2.0f;
   top_k_entries(vs, 128, ws, got);
   EXPECT_EQ(got, top_k_entries_heap(vs, 128));
+}
+
+// The selection cuts the survivors on the top magnitude digit (bits 21–30)
+// and then radix-sorts the kept entries on the 31 magnitude bits; fewer than
+// 256 kept entries take a comparison sort. Each case places the k-th value
+// where that machinery has an edge and checks every entry point against the
+// heap reference: the dense scan, chunk summaries, the hinted rescan and the
+// indices-only overload.
+float from_bits(std::uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+// A magnitude in top digit `digit` (bits 21–30) with the given low 21 bits.
+float in_digit(std::uint32_t digit, std::uint32_t low21) {
+  return from_bits((digit << 21) | (low21 & 0x1FFFFFu));
+}
+
+void expect_matches_heap(const std::vector<float>& v, std::size_t k, const std::string& label) {
+  const std::span<const float> vs{v.data(), v.size()};
+  const SparseVector ref = top_k_entries_heap(vs, k);
+  EXPECT_EQ(top_k_entries(vs, k), ref) << label << " (dense scan)";
+  std::vector<float> bounds(accumulator_chunks(v.size()), 0.0f);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    float& b = bounds[i / kAccumulatorChunk];
+    b = std::max(b, std::fabs(v[i]));
+  }
+  TopKWorkspace ws;
+  SparseVector got;
+  top_k_entries(vs, {bounds.data(), bounds.size()}, k, ws, got);
+  EXPECT_EQ(got, ref) << label << " (chunk summaries)";
+  // The workspace now holds the exact k-th magnitude as its hint.
+  top_k_entries(vs, k, ws, got);
+  EXPECT_EQ(got, ref) << label << " (hinted)";
+  std::vector<std::int32_t> idx;
+  top_k_indices(vs, k, ws, idx);
+  ASSERT_EQ(idx.size(), ref.size()) << label;
+  for (std::size_t i = 0; i < idx.size(); ++i) EXPECT_EQ(idx[i], ref[i].index) << label;
+}
+
+// Signs drawn at random, positions shuffled.
+std::vector<float> scatter_signed(std::vector<float> mags, util::Rng& rng) {
+  for (auto& x : mags) x = rng.uniform() < 0.5 ? -x : x;
+  rng.shuffle(mags);
+  return mags;
+}
+
+TEST(TopK, MagnitudeRadixMatchesHeapAtDigitBoundaries) {
+  util::Rng rng(131);
+  constexpr std::uint32_t kDigit = 0x200;  // 2.0f is the lowest key of this digit
+  const auto rand21 = [&] { return static_cast<std::uint32_t>(rng.uniform_u64(1u << 21)); };
+  const std::size_t d = 5000, k = 700;
+
+  {  // The k-th value is the lowest key of the cut digit.
+    std::vector<float> m;
+    for (std::size_t i = 0; i + 1 < k; ++i) {
+      m.push_back(in_digit(kDigit + static_cast<std::uint32_t>(rng.uniform_u64(3)), rand21() | 1));
+    }
+    m.push_back(in_digit(kDigit, 0));
+    while (m.size() < d) m.push_back(in_digit(kDigit - 1 - static_cast<std::uint32_t>(rng.uniform_u64(3)), rand21()));
+    expect_matches_heap(scatter_signed(m, rng), k, "k-th is the cut digit's lowest key");
+  }
+  {  // The k-th value is the highest key below a digit boundary, tied across k.
+    std::vector<float> m;
+    for (std::size_t i = 0; i + 1 < k; ++i) m.push_back(in_digit(kDigit, rand21()));
+    for (int i = 0; i < 5; ++i) m.push_back(from_bits((kDigit << 21) - 1));
+    while (m.size() < d) m.push_back(in_digit(kDigit - 2, rand21()));
+    const auto v = scatter_signed(m, rng);
+    for (const std::size_t kk : {k - 1, k, k + 2, k + 4}) {
+      expect_matches_heap(v, kk, "digit boundary, k=" + std::to_string(kk));
+    }
+  }
+  {  // One top digit holds every survivor: the cut keeps everything.
+    std::vector<float> m;
+    while (m.size() < d) m.push_back(in_digit(kDigit, rand21()));
+    const auto v = scatter_signed(m, rng);
+    for (const std::size_t kk : {std::size_t{1}, std::size_t{300}, d / 2, d - 1, d}) {
+      expect_matches_heap(v, kk, "one top digit, k=" + std::to_string(kk));
+    }
+  }
+  {  // Long tie runs at the cut.
+    std::vector<float> m;
+    for (int i = 0; i < 400; ++i) m.push_back(in_digit(kDigit + 1, rand21()));
+    for (int i = 0; i < 3000; ++i) m.push_back(1.5f);
+    for (int i = 0; i < 200; ++i) m.push_back(in_digit(0x1FF, 0));  // 1.0f
+    while (m.size() < 6000) m.push_back(static_cast<float>(rng.uniform(0.0, 0.9)));
+    const auto v = scatter_signed(m, rng);
+    for (const std::size_t kk : {std::size_t{401}, std::size_t{1900}, std::size_t{3399},
+                                 std::size_t{3400}, std::size_t{3500}}) {
+      expect_matches_heap(v, kk, "tie run, k=" + std::to_string(kk));
+    }
+  }
+  {  // Subnormals mixed with ±0 and a few normals.
+    std::vector<float> v(d);
+    std::size_t nonzero = 0;
+    for (std::size_t i = 0; i < d; ++i) {
+      const double u = rng.uniform();
+      if (u < 0.4) {
+        v[i] = rng.uniform() < 0.5 ? -0.0f : 0.0f;
+      } else {
+        const bool normal = u > 0.97;
+        const float mag = normal ? static_cast<float>(rng.uniform(0.5, 4.0))
+                                 : from_bits(1 + static_cast<std::uint32_t>(rng.uniform_u64(0x7FFFFF)));
+        v[i] = rng.uniform() < 0.5 ? -mag : mag;
+        ++nonzero;
+      }
+    }
+    for (const std::size_t kk : {std::size_t{10}, std::size_t{400}, nonzero - 1, nonzero,
+                                 nonzero + 50, d - 1}) {
+      expect_matches_heap(v, kk, "subnormals and zeros, k=" + std::to_string(kk));
+    }
+  }
+  {  // k = survivors and k = survivors - 1: every entry survives below the
+     // prefilter's minimum dimension, and an exact hint admits k + 1.
+    const auto small = random_vector(3000, rng);
+    expect_matches_heap(small, 3000, "k = survivors");
+    expect_matches_heap(small, 2999, "k = survivors - 1");
+    const auto v = random_vector(d, rng);
+    const std::span<const float> vs{v.data(), v.size()};
+    const SparseVector deeper = top_k_entries_heap(vs, k + 1);
+    TopKWorkspace ws;
+    ws.threshold_hint = std::fabs(deeper.back().value);
+    ws.hint_k = k;
+    SparseVector got;
+    top_k_entries(vs, k, ws, got);
+    EXPECT_EQ(got, top_k_entries_heap(vs, k)) << "hint admits k + 1";
+  }
+  // Kept sizes just below and above the 256-entry small-input cutoff: one
+  // top digit, so the cut keeps every entry.
+  for (const std::size_t n : {std::size_t{254}, std::size_t{255}, std::size_t{256},
+                              std::size_t{257}, std::size_t{258}}) {
+    std::vector<float> m;
+    while (m.size() < n) m.push_back(in_digit(kDigit + 1, rand21() & ~0x3FFu));  // ties too
+    const auto v = scatter_signed(m, rng);
+    for (const std::size_t kk : {std::size_t{1}, n / 2, n - 1, n}) {
+      expect_matches_heap(v, kk, "n=" + std::to_string(n) + " k=" + std::to_string(kk));
+    }
+  }
+  {  // The hinted path across mutating rounds, on quantized values with ties.
+    const std::size_t dim = 16384;
+    std::vector<float> v(dim);
+    for (auto& x : v) x = static_cast<float>(rng.uniform_int(-40, 40)) / 8.0f;
+    const std::span<const float> vs{v.data(), v.size()};
+    TopKWorkspace ws;
+    SparseVector got;
+    const std::size_t ks[] = {1000, 1000, 255, 256, 3000, 8000, 700, 700};
+    for (std::size_t round = 0; round < 16; ++round) {
+      const std::size_t kk = ks[round % (sizeof(ks) / sizeof(ks[0]))];
+      top_k_entries(vs, kk, ws, got);
+      EXPECT_EQ(got, top_k_entries_heap(vs, kk)) << "round " << round << " k=" << kk;
+      for (const auto& e : got) v[static_cast<std::size_t>(e.index)] = 0.0f;
+      for (auto& x : v) x += static_cast<float>(rng.uniform_int(-2, 2)) / 8.0f;
+    }
+  }
 }
 
 // Threshold hints are keyed by stable client id, not by participant slot: a
